@@ -1,25 +1,18 @@
-// Raw reuse-distance engine throughput across the three execution modes:
+// Raw reuse-distance engine throughput in the two modes the model runs:
 //
-//   exact        serial virtual access() and the pre-interleave batched
-//                lookahead pipeline (measured by arming the
-//                `reuse.interleave` fault, which makes access_batch fall
-//                back to the simple loop)
-//   interleaved  access_batch's AMAC-style multi-stream probe scheduler
-//                (the default batched path; distances stay bit-identical
-//                to serial)
-//   approx       SampledEngine at R = 0.01 over the interleaved batch
-//                path — throughput counted in *input* refs/s, since the
-//                model's cost per demand reference is what sampling cuts
+//   exact   access_batch, the lookahead pipeline every model shard feeds
+//           (distances bit-identical to in-order access() calls)
+//   approx  SampledEngine at R = 0.01 over the same batch path —
+//           throughput counted in *input* refs/s, since the model's cost
+//           per demand reference is what sampling cuts
 //
 // The workload is a uniform-random line stream over a footprint large
 // enough that the line->node hash map falls out of every cache level, so
-// each probe is a dependent DRAM miss in the serial leg — exactly the
-// stall the interleaved scheduler hides by keeping N probes in flight.
+// each probe is a dependent DRAM miss — the stall the batch pipeline's
+// prefetches overlap.
 //
 // Emits a perf-trajectory point to BENCH_engine_throughput.json (--out
-// overrides the path). --smoke shrinks the stream for CI. The legacy
-// "kim"/"olken" keys keep their schema (batched = the interleaved path);
-// "interleaved" and "approx" carry the per-mode breakdown.
+// overrides the path). --smoke shrinks the stream for CI.
 #include <cstdint>
 #include <fstream>
 #include <vector>
@@ -28,7 +21,6 @@
 #include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
 #include "reuse/sampled.hpp"
-#include "util/fault.hpp"
 
 namespace {
 
@@ -56,69 +48,33 @@ std::vector<std::uint64_t> make_stream(std::uint64_t refs,
 
 constexpr std::size_t kBatch = 1024;
 
-/// One timed access_batch sweep over the stream; returns the distance
-/// checksum (kSkippedDistance entries excluded so sampled legs stay
-/// summable) and records the wall-clock in `seconds`.
+/// One access_batch sweep over the stream on a fresh engine; returns its
+/// wall-clock seconds.
 template <class Engine>
-std::uint64_t run_batched(Engine& engine,
-                          const std::vector<std::uint64_t>& lines,
-                          double& seconds) {
+double run_batched(Engine&& engine, const std::vector<std::uint64_t>& lines) {
     std::vector<std::uint64_t> dists(kBatch);
-    std::uint64_t checksum = 0;
     Timer timer;
-    for (std::size_t i = 0; i < lines.size(); i += kBatch) {
-        const std::size_t n = std::min(kBatch, lines.size() - i);
-        engine.access_batch(lines.data() + i, dists.data(), n);
-        for (std::size_t k = 0; k < n; ++k)
-            if (dists[k] != kSkippedDistance) checksum += dists[k];
-    }
-    seconds = timer.seconds();
-    return checksum;
+    for (std::size_t i = 0; i < lines.size(); i += kBatch)
+        engine.access_batch(lines.data() + i, dists.data(),
+                            std::min(kBatch, lines.size() - i));
+    return timer.seconds();
 }
 
 struct Legs {
-    double serial_seconds = 0.0;
-    double simple_seconds = 0.0;       ///< pre-interleave batched pipeline
-    double interleaved_seconds = 0.0;  ///< default access_batch
-    double approx_seconds = 0.0;       ///< SampledEngine, input refs/s
-    std::uint64_t checksum_serial = 0;
-    std::uint64_t checksum_simple = 0;
-    std::uint64_t checksum_interleaved = 0;
+    double batched_seconds = 0.0;  ///< exact access_batch
+    double approx_seconds = 0.0;   ///< SampledEngine, input refs/s
     std::uint64_t approx_sampled_refs = 0;
 };
 
-/// Runs all four legs on fresh engines over the same stream.
+/// Runs both legs on fresh engines over the same stream.
 template <class Engine, class... Args>
 Legs run_legs(const std::vector<std::uint64_t>& lines, double sample_rate,
               Args&&... args) {
     Legs legs;
-    {
-        Engine engine(args...);
-        ReuseEngine& virt = engine;  // force virtual dispatch per access
-        Timer timer;
-        for (const std::uint64_t line : lines)
-            legs.checksum_serial += virt.access(line);
-        legs.serial_seconds = timer.seconds();
-    }
-    {
-        // Armed reuse.interleave = access_batch degrades to the simple
-        // lookahead loop: this is the pre-interleave exact batched path.
-        fault::ScopedFault fallback("reuse.interleave",
-                                    {.probability = 1.0, .once = false});
-        Engine engine(args...);
-        legs.checksum_simple =
-            run_batched(engine, lines, legs.simple_seconds);
-    }
-    {
-        Engine engine(args...);
-        legs.checksum_interleaved =
-            run_batched(engine, lines, legs.interleaved_seconds);
-    }
-    {
-        SampledEngine<Engine> engine(SampleFilter(sample_rate), args...);
-        (void)run_batched(engine, lines, legs.approx_seconds);
-        legs.approx_sampled_refs = engine.sampled_refs();
-    }
+    legs.batched_seconds = run_batched(Engine(args...), lines);
+    SampledEngine<Engine> sampled(SampleFilter(sample_rate), args...);
+    legs.approx_seconds = run_batched(sampled, lines);
+    legs.approx_sampled_refs = sampled.sampled_refs();
     return legs;
 }
 
@@ -149,8 +105,7 @@ int main(int argc, char** argv) {
         cli.get_int("group-capacity", 1 << 20));
 
     std::cout << "Engine throughput, " << refs << " refs over " << distinct
-              << " distinct lines (serial virtual access() vs batched "
-                 "access_batch() vs SHARDS-sampled R="
+              << " distinct lines (exact access_batch() vs SHARDS-sampled R="
               << sample_rate << ")\n\n";
 
     const std::vector<std::uint64_t> lines =
@@ -158,13 +113,6 @@ int main(int argc, char** argv) {
 
     const Legs kim = run_legs<KimEngine>(lines, sample_rate, kim_groups);
     const Legs olken = run_legs<OlkenEngine>(lines, sample_rate, distinct);
-    for (const Legs* legs : {&kim, &olken}) {
-        if (legs->checksum_serial != legs->checksum_simple ||
-            legs->checksum_serial != legs->checksum_interleaved) {
-            std::cerr << "FATAL: batched distances differ from serial\n";
-            return 1;
-        }
-    }
 
     const auto rate = [&](double s) {
         return s > 0 ? static_cast<double>(refs) / s : 0.0;
@@ -173,28 +121,19 @@ int main(int argc, char** argv) {
         return s > 0 ? base / s : 0.0;
     };
 
-    TextTable table({"engine", "serial [Mref/s]", "simple [Mref/s]",
-                     "interleaved [Mref/s]", "approx [Mref/s]",
-                     "ilv width", "mode", "approx/serial"});
-    const auto add_row = [&](const char* name, const Legs& legs,
-                             std::size_t width, const char* mode) {
-        table.add_row({name, fmt(rate(legs.serial_seconds) / 1e6, 2),
-                       fmt(rate(legs.simple_seconds) / 1e6, 2),
-                       fmt(rate(legs.interleaved_seconds) / 1e6, 2),
+    TextTable table({"engine", "exact [Mref/s]", "approx [Mref/s]",
+                     "approx/exact"});
+    const auto add_row = [&](const char* name, const Legs& legs) {
+        table.add_row({name, fmt(rate(legs.batched_seconds) / 1e6, 2),
                        fmt(rate(legs.approx_seconds) / 1e6, 2),
-                       std::to_string(width), mode,
-                       fmt(speedup(legs.serial_seconds,
+                       fmt(speedup(legs.batched_seconds,
                                    legs.approx_seconds),
                            1)});
     };
-    add_row("kim", kim, KimEngine::interleave_width(),
-            KimEngine::batch_mode());
-    add_row("olken", olken, OlkenEngine::interleave_width(),
-            OlkenEngine::batch_mode());
+    add_row("kim", kim);
+    add_row("olken", olken);
     table.render(std::cout);
-    std::cout << "exact distances identical across serial/simple/"
-                 "interleaved legs (checksums match); approx counted in "
-                 "input refs/s ("
+    std::cout << "approx counted in input refs/s ("
               << kim.approx_sampled_refs << " kim / "
               << olken.approx_sampled_refs
               << " olken refs survived the filter)\n";
@@ -203,27 +142,9 @@ int main(int argc, char** argv) {
         cli.get("out", "BENCH_engine_throughput.json");
     std::ofstream out(out_path);
     if (out) {
-        const auto engine_json = [&](const Legs& legs, std::size_t width,
-                                     const char* mode) {
-            std::string s = "{\"serial_refs_per_sec\": " +
-                            std::to_string(rate(legs.serial_seconds));
-            // The mode best-of calibration shipped for access_batch:
-            // "interleaved" only when it beat the simple exact path.
-            s += ", \"chosen_mode\": \"" + std::string(mode) + "\"";
-            s += ", \"batched_refs_per_sec\": " +
-                 std::to_string(rate(legs.interleaved_seconds));
-            s += ", \"speedup\": " +
-                 std::to_string(speedup(legs.serial_seconds,
-                                        legs.interleaved_seconds));
-            s += ", \"exact\": {\"simple_refs_per_sec\": " +
-                 std::to_string(rate(legs.simple_seconds)) + "}";
-            s += ", \"interleaved\": {\"width\": " + std::to_string(width);
-            s += ", \"refs_per_sec\": " +
-                 std::to_string(rate(legs.interleaved_seconds));
-            s += ", \"speedup_vs_simple\": " +
-                 std::to_string(speedup(legs.simple_seconds,
-                                        legs.interleaved_seconds)) +
-                 "}";
+        const auto engine_json = [&](const Legs& legs) {
+            std::string s = "{\"batched_refs_per_sec\": " +
+                            std::to_string(rate(legs.batched_seconds));
             s += ", \"approx\": {\"sample_rate\": " +
                  std::to_string(sample_rate);
             s += ", \"input_refs_per_sec\": " +
@@ -231,10 +152,7 @@ int main(int argc, char** argv) {
             s += ", \"sampled_refs\": " +
                  std::to_string(legs.approx_sampled_refs);
             s += ", \"speedup_vs_batched\": " +
-                 std::to_string(speedup(legs.simple_seconds,
-                                        legs.approx_seconds));
-            s += ", \"speedup_vs_serial\": " +
-                 std::to_string(speedup(legs.serial_seconds,
+                 std::to_string(speedup(legs.batched_seconds,
                                         legs.approx_seconds)) +
                  "}}";
             return s;
@@ -243,11 +161,7 @@ int main(int argc, char** argv) {
             << ", \"distinct_lines\": " << distinct
             << ", \"smoke\": " << (smoke ? "true" : "false")
             << ", \"sample_rate\": " << sample_rate << ",\n \"kim\": "
-            << engine_json(kim, KimEngine::interleave_width(),
-                           KimEngine::batch_mode())
-            << ",\n \"olken\": "
-            << engine_json(olken, OlkenEngine::interleave_width(),
-                           OlkenEngine::batch_mode())
+            << engine_json(kim) << ",\n \"olken\": " << engine_json(olken)
             << "}\n";
         std::cout << "perf point written to " << out_path << "\n";
     } else {

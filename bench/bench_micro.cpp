@@ -7,7 +7,6 @@
 
 #include "cachesim/hierarchy.hpp"
 #include "kernels/spmv.hpp"
-#include "kernels/spmv_merge.hpp"
 #include "reuse/kim.hpp"
 #include "reuse/naive.hpp"
 #include "reuse/olken.hpp"
@@ -111,19 +110,6 @@ void BM_SpmvCsr(benchmark::State& state) {
                             m.nnz());
 }
 BENCHMARK(BM_SpmvCsr)->Arg(128)->Arg(512);
-
-void BM_SpmvMerge(benchmark::State& state) {
-    const CsrMatrix m = gen::stencil_2d_5pt(512, 512);
-    std::vector<double> x(static_cast<std::size_t>(m.cols()), 1.0);
-    std::vector<double> y(static_cast<std::size_t>(m.rows()), 0.0);
-    for (auto _ : state) {
-        spmv_csr_merge(m, x, y, state.range(0));
-        benchmark::DoNotOptimize(y.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            m.nnz());
-}
-BENCHMARK(BM_SpmvMerge)->Arg(1)->Arg(48);
 
 void BM_McsLock(benchmark::State& state) {
     McsLock lock;

@@ -226,6 +226,7 @@ std::string spmvc_cache_path(const std::string& cache_dir,
         // then looks stale and the reload reports the real error.
     }
 
+    std::shared_ptr<Flight> flight;
     {
         const MutexLock lock(mutex_);
         const auto it = entries_.find(key);
@@ -242,26 +243,52 @@ std::string spmvc_cache_path(const std::string& cache_dir,
             }
             entries_.erase(it);
         }
+        // Single flight: a concurrent miss on the same key waits for the
+        // load already running and shares its result as a hit.
+        if (const auto running = in_flight_.find(key);
+            running != in_flight_.end()) {
+            const std::shared_ptr<Flight> joined = running->second;
+            while (!joined->result.has_value()) flight_done_.wait(mutex_);
+            ++hits_;
+            return *joined->result;
+        }
+        flight = std::make_shared<Flight>();
+        in_flight_.emplace(key, flight);
     }
 
-    Result<LoadedMatrix> loaded = load_matrix_handle(source);
-    const MutexLock lock(mutex_);
-    ++loads_;
-    if (!loaded.ok()) return std::move(loaded).to_error();
-
-    Entry entry;
-    entry.loaded = loaded.value();
-    entry.stamp = live;
-    entry.file_backed = file_backed;
-    entry.last_used = ++tick_;
-    entries_[key] = std::move(entry);
-    while (entries_.size() > capacity_) {
-        auto victim = entries_.begin();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it)
-            if (it->second.last_used < victim->second.last_used) victim = it;
-        entries_.erase(victim);
+    Result<LoadedMatrix> loaded =
+        Error(ErrorCode::InternalError, "matrix load threw");
+    // Lands the flight and publishes the entry under one lock, so no
+    // caller can miss in between and start a second load.
+    const auto land = [&] {
+        const MutexLock lock(mutex_);
+        ++loads_;
+        flight->result = loaded;
+        in_flight_.erase(key);
+        flight_done_.notify_all();
+        if (!loaded.ok()) return;
+        Entry entry;
+        entry.loaded = loaded.value();
+        entry.stamp = live;
+        entry.file_backed = file_backed;
+        entry.last_used = ++tick_;
+        entries_[key] = std::move(entry);
+        while (entries_.size() > capacity_) {
+            auto victim = entries_.begin();
+            for (auto it = entries_.begin(); it != entries_.end(); ++it)
+                if (it->second.last_used < victim->second.last_used)
+                    victim = it;
+            entries_.erase(victim);
+        }
+    };
+    try {
+        loaded = load_matrix_handle(source);
+    } catch (...) {
+        land();  // waiters must not block on a load that never lands
+        throw;
     }
-    return std::move(loaded).value();
+    land();
+    return loaded;
 }
 
 SourceCache::Stats SourceCache::stats() const {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -140,6 +141,8 @@ public:
     explicit SourceCache(std::size_t capacity = 8) : capacity_(capacity) {}
 
     /// Cached LoadedMatrix for `source`, loading (and caching) on miss.
+    /// Concurrent misses on one key run a single load; the callers that
+    /// waited for it count as hits.
     [[nodiscard]] Result<LoadedMatrix> get(const MatrixSource& source)
         SPMV_EXCLUDES(mutex_);
 
@@ -162,8 +165,16 @@ private:
         std::uint64_t last_used = 0;
     };
 
+    /// One load in progress; `result` is set when it lands.
+    struct Flight {
+        std::optional<Result<LoadedMatrix>> result;
+    };
+
     mutable Mutex mutex_;
+    CondVar flight_done_;
     std::unordered_map<std::string, Entry> entries_ SPMV_GUARDED_BY(mutex_);
+    std::unordered_map<std::string, std::shared_ptr<Flight>> in_flight_
+        SPMV_GUARDED_BY(mutex_);
     const std::size_t capacity_;  ///< immutable after construction
     std::uint64_t tick_ SPMV_GUARDED_BY(mutex_) = 0;
     std::uint64_t hits_ SPMV_GUARDED_BY(mutex_) = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "model/replay.hpp"
@@ -11,7 +12,6 @@
 #include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
 #include "reuse/sampled.hpp"
-#include "trace/packed_trace.hpp"
 #include "trace/spmv_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -43,51 +43,26 @@ const ConfigPrediction& ModelResult::at(std::uint32_t l2_sector_ways) const {
 
 namespace {
 
-/// Concrete-engine construction for the shard bodies, which are templated
-/// on the engine type so every access in the hot loops is devirtualized
-/// (the ReuseEngine interface remains for tests and tools).
-template <class Engine>
-struct EngineMaker;
-
-template <>
-struct EngineMaker<KimEngine> {
-    static KimEngine make(std::size_t /*lines_hint*/,
-                          std::uint64_t group_capacity,
-                          const SampleFilter& /*filter*/) {
-        return KimEngine(group_capacity);
+/// Builds one shard engine: the SHARDS adapter around E, which passes
+/// every call straight through under the exact filter. Olken presizes for
+/// the lines it will track (~R of `lines_hint`, plus headroom, under
+/// sampling); Kim needs only its group capacity.
+template <class E>
+SampledEngine<E> make_engine(std::size_t lines_hint,
+                             std::uint64_t group_capacity,
+                             const SampleFilter& filter) {
+    if constexpr (std::is_same_v<E, KimEngine>) {
+        return SampledEngine<E>(filter, group_capacity);
+    } else {
+        const std::size_t hint =
+            filter.exact() ? lines_hint
+                           : static_cast<std::size_t>(
+                                 static_cast<double>(lines_hint) *
+                                 filter.rate()) +
+                                 64;
+        return SampledEngine<E>(filter, hint);
     }
-};
-
-template <>
-struct EngineMaker<OlkenEngine> {
-    static OlkenEngine make(std::size_t lines_hint,
-                            std::uint64_t /*group_capacity*/,
-                            const SampleFilter& /*filter*/) {
-        return OlkenEngine(lines_hint);
-    }
-};
-
-/// Sampled variants: the adapter carries the run's SHARDS filter; hints
-/// shrink by R because the engine only ever tracks the kept subset.
-template <>
-struct EngineMaker<SampledEngine<KimEngine>> {
-    static SampledEngine<KimEngine> make(std::size_t /*lines_hint*/,
-                                         std::uint64_t group_capacity,
-                                         const SampleFilter& filter) {
-        return SampledEngine<KimEngine>(filter, group_capacity);
-    }
-};
-
-template <>
-struct EngineMaker<SampledEngine<OlkenEngine>> {
-    static SampledEngine<OlkenEngine> make(std::size_t lines_hint,
-                                           std::uint64_t /*group_capacity*/,
-                                           const SampleFilter& filter) {
-        const auto hint = static_cast<std::size_t>(
-            static_cast<double>(lines_hint) * filter.rate());
-        return SampledEngine<OlkenEngine>(filter, hint + 64);
-    }
-};
+}
 
 /// Everything one shard accumulates; queried after the parallel phase.
 /// Summing per-shard counters yields the same integer totals the single
@@ -114,136 +89,98 @@ struct ShardCounters {
     bool packed = false;
 };
 
-/// The engines one shard feeds: both sectors, the unpartitioned pass, and
-/// (optionally) one per-core L1 engine per simulated thread.
-template <class Engine>
-struct ShardEngines {
-    ShardEngines(std::size_t lines_hint, std::uint64_t group_capacity,
-                 std::int64_t l1_engines, const SampleFilter& filter)
-        : eng0(EngineMaker<Engine>::make(lines_hint, group_capacity, filter)),
-          eng1(EngineMaker<Engine>::make(lines_hint, group_capacity, filter)),
-          engU(EngineMaker<Engine>::make(lines_hint, group_capacity, filter)) {
-        engL1.reserve(static_cast<std::size_t>(l1_engines));
+/// The engines one shard feeds — both sectors (Eq. 2), the unpartitioned
+/// pass, and optionally one per-core L1 engine per simulated thread — and
+/// the chunk scratch between them. gather() routes one reference to each
+/// engine's line list; flush() runs every list through access_batch and
+/// records the distances (counted pass only). Each engine sees exactly its
+/// trace-order subsequence, so distances do not depend on where a chunk
+/// ends.
+template <class E>
+class ShardReplay {
+public:
+    ShardReplay(std::size_t lines_hint, std::uint64_t group_capacity,
+                std::int64_t l1_engines, const SampleFilter& filter,
+                SectorPolicy policy, std::int64_t t_begin, ShardCounters& st)
+        : eng0_(make_engine<E>(lines_hint, group_capacity, filter)),
+          eng1_(make_engine<E>(lines_hint, group_capacity, filter)),
+          engU_(make_engine<E>(lines_hint, group_capacity, filter)),
+          policy_(policy),
+          t_begin_(t_begin),
+          st_(st) {
         for (std::int64_t c = 0; c < l1_engines; ++c)
-            engL1.push_back(
-                EngineMaker<Engine>::make(4096, group_capacity, filter));
+            engL1_.push_back(make_engine<E>(4096, group_capacity, filter));
+        L1_.resize(engL1_.size());
     }
 
-    Engine eng0, eng1, engU;
-    std::vector<Engine> engL1;
+    bool counting = false;
+
+    void gather(std::uint64_t line, DataObject object, std::uint32_t thread) {
+        const unsigned char is_x = object == DataObject::X ? 1 : 0;
+        U_.add(line, is_x);
+        if (sector_of(object, policy_) == 1)
+            s1_.add(line, 0);
+        else
+            s0_.add(line, is_x);
+        if (!L1_.empty())
+            L1_[static_cast<std::size_t>(static_cast<std::int64_t>(thread) -
+                                         t_begin_)]
+                .add(line, is_x);
+    }
+
+    void flush() {
+        U_.run(engU_);
+        s0_.run(eng0_);
+        s1_.run(eng1_);
+        for (std::size_t t = 0; t < L1_.size(); ++t) L1_[t].run(engL1_[t]);
+        if (counting) {
+            st_.references += U_.lines.size();
+            s0_.record(st_.cnt0, &st_.cnt_x);
+            s1_.record(st_.cnt1, nullptr);
+            U_.record(st_.cntU, &st_.cnt_xU);
+            for (const Chunk& c : L1_) c.record(st_.cntL1, &st_.cnt_xL1);
+        }
+        for (Chunk* c : {&U_, &s0_, &s1_}) c->clear();
+        for (Chunk& c : L1_) c.clear();
+    }
+
+private:
+    /// One engine's share of the current chunk.
+    struct Chunk {
+        std::vector<std::uint64_t> lines, dists;
+        std::vector<unsigned char> is_x;  // x-vector flags
+
+        void add(std::uint64_t line, unsigned char x) {
+            lines.push_back(line);
+            is_x.push_back(x);
+        }
+        void run(SampledEngine<E>& engine) {
+            dists.resize(lines.size());
+            engine.access_batch(lines.data(), dists.data(), lines.size());
+        }
+        /// Records every distance in `all`, and the x-vector ones in
+        /// `x_only` when given.
+        void record(CapacityMissCounter& all,
+                    CapacityMissCounter* x_only) const {
+            for (std::size_t i = 0; i < dists.size(); ++i) {
+                all.record(dists[i]);
+                if (x_only != nullptr && is_x[i]) x_only->record(dists[i]);
+            }
+        }
+        void clear() {
+            lines.clear();
+            is_x.clear();
+        }
+    };
+
+    SampledEngine<E> eng0_, eng1_, engU_;
+    std::vector<SampledEngine<E>> engL1_;
+    Chunk s0_, s1_, U_;
+    std::vector<Chunk> L1_;
+    SectorPolicy policy_;
+    std::int64_t t_begin_;
+    ShardCounters& st_;
 };
-
-/// References the engines consume per access_batch call. Large enough to
-/// amortize the gather/scatter bookkeeping and keep the prefetch pipeline
-/// full, small enough that the scratch arrays stay L2-resident.
-constexpr std::size_t kReplayBatch = 1024;
-
-/// Reusable per-chunk gather/scatter scratch for the packed replay.
-struct ReplayScratch {
-    explicit ReplayScratch(std::size_t l1_engines)
-        : linesL1(l1_engines), distL1(l1_engines), xL1(l1_engines) {
-        linesU.reserve(kReplayBatch);
-        lines0.reserve(kReplayBatch);
-        lines1.reserve(kReplayBatch);
-        xU.reserve(kReplayBatch);
-        x0.reserve(kReplayBatch);
-        for (std::size_t t = 0; t < l1_engines; ++t) {
-            linesL1[t].reserve(kReplayBatch);
-            xL1[t].reserve(kReplayBatch);
-        }
-    }
-
-    std::vector<std::uint64_t> linesU, lines0, lines1;
-    std::vector<std::uint64_t> distU, dist0, dist1;
-    std::vector<unsigned char> xU, x0;  // x-vector flags (x is sector 0)
-    std::vector<std::vector<std::uint64_t>> linesL1, distL1;
-    std::vector<std::vector<unsigned char>> xL1;
-};
-
-/// One replay pass over a packed segment buffer. Per chunk: gather each
-/// engine's lines (each engine sees exactly its trace-order subsequence,
-/// so distances are bit-identical to the streaming pass), run the batched
-/// prefetch-pipelined engine paths, then scatter distances into the
-/// counters (counted pass only).
-template <class Engine>
-void replay_packed_pass(const std::vector<std::uint64_t>& buffer,
-                        SectorPolicy policy, std::int64_t t_begin,
-                        ShardEngines<Engine>& eng, ReplayScratch& scratch,
-                        ShardCounters& st, bool counting) {
-    const std::size_t l1_engines = eng.engL1.size();
-    for (std::size_t begin = 0; begin < buffer.size();
-         begin += kReplayBatch) {
-        const std::size_t end =
-            std::min(buffer.size(), begin + kReplayBatch);
-        scratch.linesU.clear();
-        scratch.lines0.clear();
-        scratch.lines1.clear();
-        scratch.xU.clear();
-        scratch.x0.clear();
-        for (std::size_t t = 0; t < l1_engines; ++t) {
-            scratch.linesL1[t].clear();
-            scratch.xL1[t].clear();
-        }
-
-        for (std::size_t i = begin; i < end; ++i) {
-            const std::uint64_t word = buffer[i];
-            if (packed_is_prefetch(word)) continue;  // demand accesses only
-            const std::uint64_t line = packed_line(word);
-            const DataObject object = packed_object(word);
-            const unsigned char is_x = object == DataObject::X ? 1 : 0;
-            scratch.linesU.push_back(line);
-            scratch.xU.push_back(is_x);
-            if (sector_of(object, policy) == 1) {
-                scratch.lines1.push_back(line);
-            } else {
-                scratch.lines0.push_back(line);
-                scratch.x0.push_back(is_x);
-            }
-            if (l1_engines > 0) {
-                const auto tl = static_cast<std::size_t>(
-                    static_cast<std::int64_t>(packed_thread(word)) -
-                    t_begin);
-                scratch.linesL1[tl].push_back(line);
-                scratch.xL1[tl].push_back(is_x);
-            }
-        }
-
-        scratch.distU.resize(scratch.linesU.size());
-        scratch.dist0.resize(scratch.lines0.size());
-        scratch.dist1.resize(scratch.lines1.size());
-        eng.engU.access_batch(scratch.linesU.data(), scratch.distU.data(),
-                              scratch.linesU.size());
-        eng.eng0.access_batch(scratch.lines0.data(), scratch.dist0.data(),
-                              scratch.lines0.size());
-        eng.eng1.access_batch(scratch.lines1.data(), scratch.dist1.data(),
-                              scratch.lines1.size());
-        for (std::size_t t = 0; t < l1_engines; ++t) {
-            scratch.distL1[t].resize(scratch.linesL1[t].size());
-            eng.engL1[t].access_batch(scratch.linesL1[t].data(),
-                                      scratch.distL1[t].data(),
-                                      scratch.linesL1[t].size());
-        }
-
-        if (!counting) continue;
-        st.references += scratch.linesU.size();
-        for (std::size_t i = 0; i < scratch.dist0.size(); ++i) {
-            st.cnt0.record(scratch.dist0[i]);
-            if (scratch.x0[i]) st.cnt_x.record(scratch.dist0[i]);
-        }
-        for (std::size_t i = 0; i < scratch.dist1.size(); ++i)
-            st.cnt1.record(scratch.dist1[i]);
-        for (std::size_t i = 0; i < scratch.distU.size(); ++i) {
-            st.cntU.record(scratch.distU[i]);
-            if (scratch.xU[i]) st.cnt_xU.record(scratch.distU[i]);
-        }
-        for (std::size_t t = 0; t < l1_engines; ++t)
-            for (std::size_t i = 0; i < scratch.distL1[t].size(); ++i) {
-                st.cntL1.record(scratch.distL1[t][i]);
-                if (scratch.xL1[t][i])
-                    st.cnt_xL1.record(scratch.distL1[t][i]);
-            }
-    }
-}
 
 /// Inputs shared by every shard of one run.
 template <class Idx>
@@ -261,14 +198,12 @@ struct ShardContext {
     SampleFilter filter;
 };
 
-/// One shard = one L2 segment. Derives the segment's slice of the trace
-/// once into a packed buffer when it fits the shard's budget (replayed for
-/// warm-up + counted pass through the batched engine paths), or streams
-/// the derivation twice through a fused per-reference sink otherwise.
-/// Both paths feed the partitioned engines (Eq. 2), the unpartitioned
-/// engine, and the segment's per-core L1 engines, and produce bit-identical
-/// counter totals.
-template <class Idx, class Engine>
+/// One shard = one L2 segment. Packs the segment's slice of the trace once
+/// when it fits the shard's budget, else re-derives it per pass; either
+/// way a warm-up and a counted pass run through ShardReplay's batch path,
+/// feeding the partitioned engines (Eq. 2), the unpartitioned engine, and
+/// the segment's per-core L1 engines.
+template <class Idx, class E>
 void run_shard(const ShardContext<Idx>& ctx, std::int64_t s,
                ShardCounters& st) {
     const Timer shard_timer;
@@ -277,77 +212,31 @@ void run_shard(const ShardContext<Idx>& ctx, std::int64_t s,
     const std::int64_t t_begin = s * machine.cores_per_numa;
     const std::int64_t t_count =
         std::min(options.threads, t_begin + machine.cores_per_numa) - t_begin;
+    const auto seg = static_cast<std::size_t>(s);
 
-    ShardEngines<Engine> eng(ctx.lines_hint, options.kim_group_capacity,
-                             options.predict_l1 ? t_count : 0, ctx.filter);
-
+    ShardReplay<E> replay(ctx.lines_hint, options.kim_group_capacity,
+                          options.predict_l1 ? t_count : 0, ctx.filter,
+                          options.policy, t_begin, st);
     const std::optional<std::vector<std::uint64_t>> packed =
         detail::pack_segment_within_budget(
             ctx.m, ctx.layout, ctx.trace_cfg, machine.cores_per_numa, s,
-            ctx.segment_lengths[static_cast<std::size_t>(s)],
-            ctx.shard_budget_bytes, ctx.filter);
+            ctx.segment_lengths[seg], ctx.shard_budget_bytes, ctx.filter);
     st.packed = packed.has_value();
 
-    if (packed.has_value()) {
-        ReplayScratch scratch(eng.engL1.size());
-        replay_packed_pass(*packed, options.policy, t_begin, eng, scratch,
-                           st, /*counting=*/false);  // warm-up
-        replay_packed_pass(*packed, options.policy, t_begin, eng, scratch,
-                           st, /*counting=*/true);  // measured
-        // A sampled buffer holds only the kept references, so the replay
-        // counted the sampled subset; the full demand count comes from
-        // the segment lengths.
-        st.sampled_refs = st.references;
-        if (!ctx.filter.exact())
-            st.references = ctx.segment_lengths[static_cast<std::size_t>(s)];
-        st.seconds = shard_timer.seconds();
-        return;
+    for (const bool counting : {false, true}) {  // warm-up, then measured
+        replay.counting = counting;
+        detail::replay_segment_pass(
+            packed, ctx.m, ctx.layout, ctx.trace_cfg, machine.cores_per_numa,
+            s, ctx.filter,
+            [&](std::uint64_t line, DataObject object, std::uint32_t thread) {
+                replay.gather(line, object, thread);
+            },
+            [&] { replay.flush(); });
     }
-
-    // Streaming fallback: derive the segment trace twice through a fused
-    // per-reference sink (the pre-packing pipeline, devirtualized).
-    bool counting = false;
-    auto sink = [&](const MemRef& ref) {
-        if (ref.is_prefetch) return;  // the model sees demand accesses
-        const int sector = sector_of(ref.object, options.policy);
-        const std::uint64_t dp =
-            (sector == 1 ? eng.eng1 : eng.eng0).access_one(ref.line);
-        if (dp == kSkippedDistance) {
-            // The sampling filter rejected this line; every engine would
-            // agree (same hash), so skip them and record nothing.
-            if (counting) ++st.references;
-            return;
-        }
-        const std::uint64_t du = eng.engU.access_one(ref.line);
-        std::uint64_t dl1 = 0;
-        if (options.predict_l1)
-            dl1 = eng.engL1[static_cast<std::size_t>(
-                                static_cast<std::int64_t>(ref.thread) -
-                                t_begin)]
-                      .access_one(ref.line);
-        if (!counting) return;
-        ++st.references;
-        ++st.sampled_refs;
-        if (sector == 1) {
-            st.cnt1.record(dp);
-        } else {
-            st.cnt0.record(dp);
-            if (ref.object == DataObject::X) st.cnt_x.record(dp);
-        }
-        st.cntU.record(du);
-        if (ref.object == DataObject::X) st.cnt_xU.record(du);
-        if (options.predict_l1) {
-            st.cntL1.record(dl1);
-            if (ref.object == DataObject::X) st.cnt_xL1.record(dl1);
-        }
-    };
-    generate_spmv_trace_segment(ctx.m, ctx.layout, ctx.trace_cfg,
-                                machine.cores_per_numa, s,
-                                sink);  // warm-up
-    counting = true;
-    generate_spmv_trace_segment(ctx.m, ctx.layout, ctx.trace_cfg,
-                                machine.cores_per_numa, s,
-                                sink);  // measured
+    // The passes counted the kept references only; under sampling the
+    // full demand count comes from the segment lengths.
+    st.sampled_refs = st.references;
+    if (!ctx.filter.exact()) st.references = ctx.segment_lengths[seg];
     st.seconds = shard_timer.seconds();
 }
 
@@ -422,17 +311,10 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
 
     detail::for_each_shard(segments, jobs, [&](std::int64_t s) {
         auto& st = shard_state[static_cast<std::size_t>(s)];
-        if (engine_kind == EngineKind::Kim) {
-            if (filter.exact())
-                run_shard<Idx, KimEngine>(ctx, s, st);
-            else
-                run_shard<Idx, SampledEngine<KimEngine>>(ctx, s, st);
-        } else {
-            if (filter.exact())
-                run_shard<Idx, OlkenEngine>(ctx, s, st);
-            else
-                run_shard<Idx, SampledEngine<OlkenEngine>>(ctx, s, st);
-        }
+        if (engine_kind == EngineKind::Kim)
+            run_shard<Idx, KimEngine>(ctx, s, st);
+        else
+            run_shard<Idx, OlkenEngine>(ctx, s, st);
     });
 
     // ---- Assemble ---------------------------------------------------------

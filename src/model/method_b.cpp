@@ -10,7 +10,6 @@
 #include "model/shard.hpp"
 #include "reuse/histogram.hpp"
 #include "reuse/olken.hpp"
-#include "trace/packed_trace.hpp"
 #include "trace/spmv_trace.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -186,95 +185,60 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
                 filter);
         st.packed_replay = packed.has_value();
 
-        if (packed.has_value()) {
-            // Derive once, replay twice: method (B)'s engines only consume
-            // x-vector references, so the replay gathers those per owner
-            // (L2 engine + per-core L1 engines) and runs the batched,
-            // prefetch-pipelined access path. Counters accumulate, so
-            // scatter order is free — totals are bit-identical to the
-            // streaming sink below.
-            std::vector<std::uint64_t> lines_x, dist_x;
-            std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
-                distL1(engL1.size());
-            for (const bool counting : {false, true}) {
-                std::uint64_t refs = 0;
-                lines_x.clear();
-                for (auto& v : linesL1) v.clear();
-                for (const std::uint64_t word : *packed) {
-                    if (packed_is_prefetch(word)) continue;
-                    ++refs;
-                    if (packed_object(word) != DataObject::X) continue;
-                    const std::uint64_t line = packed_line(word);
-                    lines_x.push_back(line);
-                    if (!engL1.empty())
-                        linesL1[static_cast<std::size_t>(
-                                    static_cast<std::int64_t>(
-                                        packed_thread(word)) -
-                                    t_begin)]
-                            .push_back(line);
-                }
-                dist_x.resize(lines_x.size());
-                eng.access_batch(lines_x.data(), dist_x.data(),
-                                 lines_x.size());
-                for (std::size_t t = 0; t < engL1.size(); ++t) {
-                    distL1[t].resize(linesL1[t].size());
-                    engL1[t].access_batch(linesL1[t].data(),
-                                          distL1[t].data(),
-                                          linesL1[t].size());
-                }
-                if (!counting) continue;
+        // Method (B)'s engines only consume x-vector references: each
+        // chunk gathers those per owner (L2 engine + per-core L1 engines)
+        // and runs them through access_batch. Counters accumulate, so
+        // record order is free.
+        std::vector<std::uint64_t> lines_x, dist_x;
+        std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
+            distL1(engL1.size());
+        std::uint64_t refs = 0;  // demand references in the chunk
+        bool counting = false;
+        const auto gather = [&](std::uint64_t line, DataObject object,
+                                std::uint32_t thread) {
+            ++refs;
+            if (object != DataObject::X) return;
+            lines_x.push_back(line);
+            if (!engL1.empty())
+                linesL1[static_cast<std::size_t>(
+                            static_cast<std::int64_t>(thread) - t_begin)]
+                    .push_back(line);
+        };
+        const auto flush = [&] {
+            dist_x.resize(lines_x.size());
+            eng.access_batch(lines_x.data(), dist_x.data(), lines_x.size());
+            for (std::size_t t = 0; t < engL1.size(); ++t) {
+                distL1[t].resize(linesL1[t].size());
+                engL1[t].access_batch(linesL1[t].data(), distL1[t].data(),
+                                      linesL1[t].size());
+            }
+            if (counting) {
                 st.references += refs;
                 for (const std::uint64_t d : dist_x) {
                     const std::uint64_t ds = filter.scale_distance(d);
                     cnt_p.record(ds);
                     cnt_u.record(ds);
                 }
-                if (options.predict_l1)
-                    for (const auto& dists : distL1)
-                        for (const std::uint64_t d : dists)
-                            cntL1[static_cast<std::size_t>(g)]->record(
-                                filter.scale_distance(d));
+                for (const auto& dists : distL1)
+                    for (const std::uint64_t d : dists)
+                        cntL1[static_cast<std::size_t>(g)]->record(
+                            filter.scale_distance(d));
             }
-            // A sampled buffer holds only the kept references, so the
-            // replay counted the sampled subset; the full demand count
-            // comes from the segment lengths.
-            st.sampled_refs = st.references;
-            if (!filter.exact())
-                st.references =
-                    segment_lengths[static_cast<std::size_t>(g)];
-        } else {
-            bool counting = false;
-            auto sink = [&](const MemRef& ref) {
-                if (ref.is_prefetch) return;
-                const bool kept = filter.keep(ref.line);
-                if (counting) {
-                    ++st.references;
-                    if (kept) ++st.sampled_refs;
-                }
-                if (!kept || ref.object != DataObject::X) return;
-                const std::uint64_t d =
-                    filter.scale_distance(eng.access_one(ref.line));
-                std::uint64_t dl1 = 0;
-                if (options.predict_l1)
-                    dl1 = filter.scale_distance(
-                        engL1[static_cast<std::size_t>(
-                                  static_cast<std::int64_t>(ref.thread) -
-                                  t_begin)]
-                            .access_one(ref.line));
-                if (!counting) return;
-                cnt_p.record(d);
-                cnt_u.record(d);
-                if (options.predict_l1)
-                    cntL1[static_cast<std::size_t>(g)]->record(dl1);
-            };
-            generate_spmv_trace_segment(m, layout, trace_cfg,
-                                        machine.cores_per_numa, g,
-                                        sink);  // warm-up
-            counting = true;
-            generate_spmv_trace_segment(m, layout, trace_cfg,
-                                        machine.cores_per_numa, g,
-                                        sink);  // measured
+            refs = 0;
+            lines_x.clear();
+            for (auto& v : linesL1) v.clear();
+        };
+        for (const bool pass : {false, true}) {  // warm-up, then measured
+            counting = pass;
+            detail::replay_segment_pass(packed, m, layout, trace_cfg,
+                                        machine.cores_per_numa, g, filter,
+                                        gather, flush);
         }
+        // The passes counted the kept references only; under sampling the
+        // full demand count comes from the segment lengths.
+        st.sampled_refs = st.references;
+        if (!filter.exact())
+            st.references = segment_lengths[static_cast<std::size_t>(g)];
         st.segment = g;
         st.threads = t_count;
         st.seconds = shard_timer.seconds();

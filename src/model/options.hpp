@@ -107,8 +107,9 @@ struct ShardStats {
     /// slice of the derived trace; shards sum to spmv_trace_length).
     std::uint64_t references = 0;
     double seconds = 0.0;          ///< wall-clock of this shard's stack pass
-    /// True when the shard replayed a packed trace buffer; false when it
-    /// streamed (budget exceeded, --trace-buffer 0, or packing failed).
+    /// True when the shard buffered its whole segment trace; false when
+    /// each pass re-derived it in chunks (budget exceeded,
+    /// --trace-buffer 0, or packing failed).
     bool packed_replay = false;
     /// References that survived the sampling filter and reached the
     /// engines (== references when the run was exact).

@@ -1,4 +1,4 @@
-// Reuse-distance engine interface (§2.2 of the paper).
+// Reuse-distance engines (§2.2 of the paper): shared constants.
 //
 // Given a stream of cache-line numbers, an engine returns for every access
 // the number of *distinct* lines referenced since the previous access to
@@ -6,7 +6,9 @@
 // paper, an access misses in a fully associative LRU cache of n lines iff
 // its reuse distance is >= n.
 //
-// Three implementations with one contract:
+// Three plain classes share one duck-typed contract — access(line),
+// clear(), distinct_lines(); the fast two add access_batch(lines, dists,
+// n), bit-identical to n in-order access() calls:
 //  * NaiveStackEngine — O(distance) list walk; the executable definition,
 //    used to cross-check the others in tests.
 //  * OlkenEngine — exact, O(log n) per access via a Fenwick tree over
@@ -14,6 +16,8 @@
 //  * KimEngine — the grouped-stack scheme of Kim et al. [SIGMETRICS'91]
 //    that the paper uses: approximate distances at group granularity with
 //    per-access cost independent of the locality of the trace.
+// The model's shard bodies are templated on the concrete engine, so no
+// access pays a virtual dispatch.
 #pragma once
 
 #include <cstdint>
@@ -33,21 +37,5 @@ inline void prefetch_ro(const void* p) noexcept {
     (void)p;
 #endif
 }
-
-/// Abstract engine; concrete classes also expose the same functions
-/// non-virtually for hot paths.
-class ReuseEngine {
-public:
-    virtual ~ReuseEngine() = default;
-
-    /// Processes one access and returns its reuse distance.
-    virtual std::uint64_t access(std::uint64_t line) = 0;
-
-    /// Forgets all history.
-    virtual void clear() = 0;
-
-    /// Number of distinct lines seen since clear().
-    [[nodiscard]] virtual std::uint64_t distinct_lines() const = 0;
-};
 
 }  // namespace spmvcache

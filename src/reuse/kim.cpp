@@ -1,12 +1,7 @@
 #include "reuse/kim.hpp"
 
-#include <algorithm>
-#include <array>
-
-#include "reuse/interleave.hpp"
 #include "util/checked.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
 
 namespace spmvcache {
 
@@ -52,7 +47,7 @@ std::int64_t KimEngine::pop_tail(std::uint32_t group_index) noexcept {
     return tail;
 }
 
-std::uint64_t KimEngine::access_one(std::uint64_t line) {
+std::uint64_t KimEngine::access(std::uint64_t line) {
     std::uint64_t distance = kInfiniteDistance;
     std::int64_t node_index = -1;
 
@@ -101,28 +96,13 @@ std::uint64_t KimEngine::access_one(std::uint64_t line) {
 
 void KimEngine::access_batch(const std::uint64_t* lines,
                              std::uint64_t* dists, std::size_t n) {
-    const detail::InterleaveCalibration& cal = calibration();
-    // Armed `reuse.interleave` degrades to the lookahead pipeline;
-    // results are identical either way (chaos tests assert it). The same
-    // fallback ships permanently when calibration found the simple
-    // pipeline faster on this machine.
-    if (!cal.use_interleaved || n < 2 * cal.width ||
-        fault::should_fail("reuse.interleave")) {
-        access_batch_simple(lines, dists, n);
-        return;
-    }
-    access_batch_interleaved(lines, dists, n, cal.width);
-}
-
-void KimEngine::access_batch_simple(const std::uint64_t* lines,
-                                    std::uint64_t* dists, std::size_t n) {
     // Three-stage software pipeline over the dependent-load chain of a
     // hit: hash slot -> node -> the node's list neighbours. Far ahead the
     // hash slot is prefetched; closer in, the (now cheap) slot is read
     // speculatively to prefetch the node, then the node to prefetch the
     // prev/next nodes unlink() will touch. Speculative reads may observe
     // the map before intervening accesses mutate it — that only makes a
-    // prefetch useless, never wrong, and the access_one results are
+    // prefetch useless, never wrong, and the access results are
     // untouched.
     constexpr std::size_t kSlotAhead = 24;
     constexpr std::size_t kNodeAhead = 12;
@@ -154,84 +134,8 @@ void KimEngine::access_batch_simple(const std::uint64_t* lines,
                 }
             }
         }
-        dists[i] = access_one(lines[i]);
+        dists[i] = access(lines[i]);
     }
-}
-
-void KimEngine::access_batch_interleaved(const std::uint64_t* lines,
-                                         std::uint64_t* dists, std::size_t n,
-                                         std::size_t width) {
-    // AMAC-style interleaving: `width` probe streams in flight, advanced
-    // round-robin through four stages with a prefetch at every transition —
-    //
-    //   stage 0  map-slot prefetch (issued one block ahead, below)
-    //   stage 1  slot read: find() the line once, park the node index in
-    //            the stream state, prefetch the node
-    //   stage 2  node read: prefetch the prev/next neighbours unlink()
-    //            will touch and the group tails the demotion cascade pops
-    //   stage 3  in-order retire via access_one()
-    //
-    // All streams sit at the same stage at the same time, so the machine
-    // flattens into per-stage loops over each block of `width` accesses;
-    // retirement order equals program order, keeping results bit-identical
-    // to the serial path. Unlike the lookahead pipeline (which re-probes
-    // the map at every stage), the parked node index means each access
-    // pays exactly one speculative find() plus the retiring
-    // find_or_insert(). Stage-1/2 reads may observe state that younger
-    // in-block retires later mutate — stale prefetches only, never wrong
-    // results.
-    std::array<std::int64_t, detail::kMaxInterleaveWidth> node{};
-    const std::size_t primed = std::min(width, n);
-    for (std::size_t j = 0; j < primed; ++j) node_of_line_.prefetch(lines[j]);
-    for (std::size_t base = 0; base < n; base += width) {
-        const std::size_t m = std::min(width, n - base);
-        for (std::size_t j = 0; j < m; ++j) {
-            const std::uint64_t* slot = node_of_line_.find(lines[base + j]);
-            node[j] = slot ? static_cast<std::int64_t>(*slot) : -1;
-            if (node[j] >= 0)
-                prefetch_ro(&nodes_[static_cast<std::size_t>(node[j])]);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            if (node[j] < 0) continue;
-            const Node& nd = nodes_[static_cast<std::size_t>(node[j])];
-            if (nd.prev >= 0)
-                prefetch_ro(&nodes_[static_cast<std::size_t>(nd.prev)]);
-            if (nd.next >= 0)
-                prefetch_ro(&nodes_[static_cast<std::size_t>(nd.next)]);
-            for (std::uint32_t g = 0; g < nd.group; ++g) {
-                const std::int64_t tail = groups_[g].tail;
-                if (tail >= 0)
-                    prefetch_ro(&nodes_[static_cast<std::size_t>(tail)]);
-            }
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            if (base + width + j < n)
-                node_of_line_.prefetch(lines[base + width + j]);
-            dists[base + j] = access_one(lines[base + j]);
-        }
-    }
-}
-
-const detail::InterleaveCalibration& KimEngine::calibration() {
-    static const detail::InterleaveCalibration cal =
-        detail::calibrate_interleave(
-            [](std::size_t w, const std::uint64_t* lines,
-               std::uint64_t* dists, std::size_t n) {
-                KimEngine engine(512);
-                engine.access_batch_interleaved(lines, dists, n, w);
-            },
-            [](const std::uint64_t* lines, std::uint64_t* dists,
-               std::size_t n) {
-                KimEngine engine(512);
-                engine.access_batch_simple(lines, dists, n);
-            });
-    return cal;
-}
-
-std::size_t KimEngine::interleave_width() { return calibration().width; }
-
-const char* KimEngine::batch_mode() {
-    return calibration().use_interleaved ? "interleaved" : "simple";
 }
 
 bool KimEngine::evict(std::uint64_t line) {

@@ -19,35 +19,27 @@
 
 namespace spmvcache {
 
-namespace detail {
-struct InterleaveCalibration;
-}
-
 /// Approximate engine with locality-independent per-access cost.
-class KimEngine final : public ReuseEngine {
+class KimEngine {
 public:
     /// `group_capacity` trades accuracy (distances are +-capacity/2) for
     /// the number of groups. Pre: group_capacity >= 1.
     explicit KimEngine(std::uint64_t group_capacity = 512);
 
-    std::uint64_t access(std::uint64_t line) override { return access_one(line); }
-    void clear() override;
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
-        return line_count_;
-    }
+    /// Processes one access (one find_or_insert probe) and returns its
+    /// approximate reuse distance.
+    std::uint64_t access(std::uint64_t line);
 
-    /// Non-virtual per-access path (one find_or_insert probe per access);
-    /// `access` forwards here, so hot loops templated on the concrete
-    /// engine pay no dispatch.
-    std::uint64_t access_one(std::uint64_t line);
+    /// Forgets all history.
+    void clear();
+
+    /// Number of distinct lines seen since clear().
+    [[nodiscard]] std::uint64_t distinct_lines() const { return line_count_; }
 
     /// Processes `n` accesses, writing each reuse distance to `dists`.
-    /// Identical results to n access() calls in order. Large batches run
-    /// the AMAC-style interleaved scheduler (interleave_width() probe
-    /// streams advanced round-robin: slot prefetch → slot read + node
-    /// prefetch → node read + link/tail prefetch → in-order retire);
-    /// short batches, or any batch while the `reuse.interleave` fault is
-    /// armed, degrade to the lookahead pipeline with the same results.
+    /// Identical results to n access() calls in order; a lookahead
+    /// pipeline prefetches the hash slot, node and list neighbours of
+    /// upcoming accesses so their dependent misses overlap.
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
@@ -62,16 +54,6 @@ public:
         node_of_line_.for_each(
             [&](std::uint64_t line, std::uint64_t) { fn(line); });
     }
-
-    /// Calibrated in-flight probe-stream count (once per process; timed
-    /// candidates, like KernelEngine's prefetch distance).
-    [[nodiscard]] static std::size_t interleave_width();
-
-    /// Batch mode chosen by best-of calibration: "interleaved" when some
-    /// probe-stream width beat the simple lookahead pipeline on this
-    /// machine, "simple" otherwise — calibration picks a mode, never a
-    /// regression.
-    [[nodiscard]] static const char* batch_mode();
 
     [[nodiscard]] std::uint64_t group_capacity() const noexcept {
         return group_capacity_;
@@ -99,13 +81,6 @@ private:
     void push_front(std::uint32_t group_index, std::int64_t node_index) noexcept;
     /// Detaches the LRU node of group `g` and returns its index.
     std::int64_t pop_tail(std::uint32_t group_index) noexcept;
-    void access_batch_simple(const std::uint64_t* lines, std::uint64_t* dists,
-                             std::size_t n);
-    void access_batch_interleaved(const std::uint64_t* lines,
-                                  std::uint64_t* dists, std::size_t n,
-                                  std::size_t width);
-    /// Once-per-process best-of calibration over both batch pipelines.
-    [[nodiscard]] static const detail::InterleaveCalibration& calibration();
 
     std::uint64_t group_capacity_;
     std::vector<Node> nodes_;

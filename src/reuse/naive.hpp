@@ -12,11 +12,11 @@
 namespace spmvcache {
 
 /// Exact reuse distances via Mattson's stack algorithm with a linked list.
-class NaiveStackEngine final : public ReuseEngine {
+class NaiveStackEngine {
 public:
-    std::uint64_t access(std::uint64_t line) override;
-    void clear() override;
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
+    std::uint64_t access(std::uint64_t line);
+    void clear();
+    [[nodiscard]] std::uint64_t distinct_lines() const {
         return stack_.size();
     }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "reuse/interleave.hpp"
 #include "util/fault.hpp"
 
 namespace spmvcache {
@@ -33,7 +32,7 @@ std::uint64_t OlkenEngine::fenwick_prefix(std::size_t index) const noexcept {
     return sum;
 }
 
-std::uint64_t OlkenEngine::access_one(std::uint64_t line) {
+std::uint64_t OlkenEngine::access(std::uint64_t line) {
     // Disarmed this is one relaxed load; armed it lets chaos tests abort a
     // model run mid-pass to exercise the batch runner's stage isolation.
     fault::maybe_throw("reuse.access");
@@ -59,88 +58,13 @@ std::uint64_t OlkenEngine::access_one(std::uint64_t line) {
 
 void OlkenEngine::access_batch(const std::uint64_t* lines,
                                std::uint64_t* dists, std::size_t n) {
-    const detail::InterleaveCalibration& cal = calibration();
-    // Armed `reuse.interleave` degrades to the simple lookahead loop;
-    // results are identical either way (chaos tests assert it), so the
-    // fault models a scheduler bug tripping a safety fallback, not data
-    // loss. The same fallback ships permanently when calibration found
-    // the simple loop faster on this machine.
-    if (!cal.use_interleaved || n < 2 * cal.width ||
-        fault::should_fail("reuse.interleave")) {
-        access_batch_simple(lines, dists, n);
-        return;
-    }
-    access_batch_interleaved(lines, dists, n, cal.width);
-}
-
-void OlkenEngine::access_batch_simple(const std::uint64_t* lines,
-                                      std::uint64_t* dists, std::size_t n) {
-    constexpr std::size_t kPrefetchAhead = 8;
     const std::size_t primed = std::min(kPrefetchAhead, n);
     for (std::size_t i = 0; i < primed; ++i) last_access_.prefetch(lines[i]);
     for (std::size_t i = 0; i < n; ++i) {
         if (i + kPrefetchAhead < n)
             last_access_.prefetch(lines[i + kPrefetchAhead]);
-        dists[i] = access_one(lines[i]);
+        dists[i] = access(lines[i]);
     }
-}
-
-void OlkenEngine::access_batch_interleaved(const std::uint64_t* lines,
-                                           std::uint64_t* dists,
-                                           std::size_t n, std::size_t width) {
-    // AMAC-style interleaving: `width` probe streams are in flight at any
-    // moment, each advanced round-robin through three stages with a
-    // prefetch issued at every transition —
-    //
-    //   stage 0  map-slot prefetch (issued one block ahead, below)
-    //   stage 1  slot read: find() the line and prefetch the Fenwick
-    //            prefix-walk nodes of its stored timestamp
-    //   stage 2  in-order retire via access_one()
-    //
-    // All streams sit at the same stage at the same time, so the machine
-    // flattens into per-stage loops over each block of `width` accesses;
-    // retirement order equals program order, which keeps results
-    // bit-identical to the serial path. Stage-1 reads may observe the map
-    // before younger in-block retires mutate it — that only wastes a
-    // prefetch, never changes a result (access_one re-probes).
-    const std::size_t primed = std::min(width, n);
-    for (std::size_t j = 0; j < primed; ++j) last_access_.prefetch(lines[j]);
-    for (std::size_t base = 0; base < n; base += width) {
-        const std::size_t m = std::min(width, n - base);
-        for (std::size_t j = 0; j < m; ++j) {
-            if (const std::uint64_t* prev = last_access_.find(lines[base + j]))
-                for (std::size_t i = static_cast<std::size_t>(*prev) + 1;
-                     i > 0; i -= i & (~i + 1))
-                    prefetch_ro(&tree_[i]);
-        }
-        for (std::size_t j = 0; j < m; ++j) {
-            if (base + width + j < n)
-                last_access_.prefetch(lines[base + width + j]);
-            dists[base + j] = access_one(lines[base + j]);
-        }
-    }
-}
-
-const detail::InterleaveCalibration& OlkenEngine::calibration() {
-    static const detail::InterleaveCalibration cal =
-        detail::calibrate_interleave(
-            [](std::size_t w, const std::uint64_t* lines,
-               std::uint64_t* dists, std::size_t n) {
-                OlkenEngine engine(n / 4);
-                engine.access_batch_interleaved(lines, dists, n, w);
-            },
-            [](const std::uint64_t* lines, std::uint64_t* dists,
-               std::size_t n) {
-                OlkenEngine engine(n / 4);
-                engine.access_batch_simple(lines, dists, n);
-            });
-    return cal;
-}
-
-std::size_t OlkenEngine::interleave_width() { return calibration().width; }
-
-const char* OlkenEngine::batch_mode() {
-    return calibration().use_interleaved ? "interleaved" : "simple";
 }
 
 bool OlkenEngine::evict(std::uint64_t line) {

@@ -14,33 +14,32 @@
 
 namespace spmvcache {
 
-namespace detail {
-struct InterleaveCalibration;
-}
-
 /// Exact engine; the workhorse behind methods (A) and (B).
-class OlkenEngine final : public ReuseEngine {
+class OlkenEngine {
 public:
+    /// Accesses ahead of the current one whose hash-map slots access_batch
+    /// prefetches.
+    static constexpr std::size_t kPrefetchAhead = 8;
+
     /// `expected_lines` presizes the hash map (purely a performance hint).
     explicit OlkenEngine(std::size_t expected_lines = 1024);
 
-    std::uint64_t access(std::uint64_t line) override { return access_one(line); }
-    void clear() override;
-    [[nodiscard]] std::uint64_t distinct_lines() const override {
+    /// Processes one access (one find_or_insert probe) and returns its
+    /// reuse distance.
+    std::uint64_t access(std::uint64_t line);
+
+    /// Forgets all history.
+    void clear();
+
+    /// Number of distinct lines seen since clear().
+    [[nodiscard]] std::uint64_t distinct_lines() const {
         return last_access_.size();
     }
 
-    /// Non-virtual per-access path (one find_or_insert probe per access);
-    /// `access` forwards here.
-    std::uint64_t access_one(std::uint64_t line);
-
     /// Processes `n` accesses, writing each reuse distance to `dists`.
-    /// Identical results to n access() calls in order. Large batches run
-    /// the AMAC-style interleaved scheduler (interleave_width() probe
-    /// streams advanced round-robin: map-slot prefetch → slot read plus
-    /// Fenwick-path prefetch → in-order retire); short batches, or any
-    /// batch while the `reuse.interleave` fault is armed, degrade to the
-    /// simple lookahead loop with the same results.
+    /// Identical results to n access() calls in order; the hash-map slot
+    /// of the access kPrefetchAhead positions ahead is prefetched so its
+    /// miss overlaps the current one.
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
@@ -56,24 +55,15 @@ public:
             [&](std::uint64_t line, std::uint64_t) { fn(line); });
     }
 
-    /// Calibrated in-flight probe-stream count (once per process; timed
-    /// candidates, like KernelEngine's prefetch distance).
-    [[nodiscard]] static std::size_t interleave_width();
+    /// Report-only: access_batch's lookahead depth (kPrefetchAhead).
+    [[nodiscard]] static std::size_t interleave_width() {
+        return kPrefetchAhead;
+    }
 
-    /// Batch mode chosen by best-of calibration: "interleaved" when some
-    /// probe-stream width beat the simple lookahead pipeline on this
-    /// machine, "simple" otherwise — calibration picks a mode, never a
-    /// regression.
-    [[nodiscard]] static const char* batch_mode();
+    /// Report-only: access_batch always runs the one lookahead loop.
+    [[nodiscard]] static const char* batch_mode() { return "simple"; }
 
 private:
-    void access_batch_simple(const std::uint64_t* lines, std::uint64_t* dists,
-                             std::size_t n);
-    void access_batch_interleaved(const std::uint64_t* lines,
-                                  std::uint64_t* dists, std::size_t n,
-                                  std::size_t width);
-    /// Once-per-process best-of calibration over both batch pipelines.
-    [[nodiscard]] static const detail::InterleaveCalibration& calibration();
     void fenwick_add(std::size_t index, int delta) noexcept;
     [[nodiscard]] std::uint64_t fenwick_prefix(std::size_t index) const noexcept;
     void compact();

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "model/options.hpp"
-#include "serve/fingerprint.hpp"
+#include "sparse/fingerprint.hpp"
 #include "util/cli.hpp"
 
 namespace spmvcache {

@@ -16,9 +16,9 @@
 //
 // A reference outside those ranges (or an armed `trace.pack` fault, or an
 // allocation failure at packing time) makes try_pack_spmv_trace_segment
-// return a typed error, and the model falls back to streaming
-// re-derivation — packing is a throughput optimisation, never a
-// correctness dependency.
+// return a typed error, and the model re-derives the trace on every pass
+// instead — packing is a throughput optimisation, never a correctness
+// dependency.
 #pragma once
 
 #include <cstdint>

@@ -8,11 +8,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/matrix_source.hpp"
@@ -477,6 +480,28 @@ TEST_F(BinaryCacheTest, SourceCacheCachesGeneratedSources) {
     EXPECT_EQ(memo.loads(), 1u);
     EXPECT_EQ(memo.hits(), 1u);
     EXPECT_EQ(memo.get(source).value().origin, LoadOrigin::Generated);
+}
+
+TEST_F(BinaryCacheTest, SourceCacheConcurrentMissesLoadOnce) {
+    // Eight callers released together all miss the same key. Generating
+    // the matrix outlasts their start-up skew, so without single-flight
+    // several of them would each load it.
+    MatrixSource source;
+    source.gen_spec = "stencil2d5:512";
+    SourceCache memo(4);
+    constexpr int kCallers = 8;
+    std::latch start(kCallers);
+    std::atomic<int> ok{0};
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t)
+        callers.emplace_back([&] {
+            start.arrive_and_wait();
+            if (memo.get(source).ok()) ++ok;
+        });
+    for (std::thread& caller : callers) caller.join();
+    EXPECT_EQ(ok.load(), kCallers);
+    EXPECT_EQ(memo.loads(), 1u);
+    EXPECT_EQ(memo.hits(), 7u);
 }
 
 }  // namespace

@@ -111,6 +111,29 @@ TEST(KernelEngine, RunIterationsEqualsRepeatedRuns) {
     }
 }
 
+TEST(KernelEngine, MergeHandlesSkewedRowsAcrossPieceBoundaries) {
+    // One 500-nonzero row followed by many empty and tiny rows: rows
+    // straddle merge-path piece boundaries, exercising the carry fix-up.
+    CsrBuilder b(50, 512);
+    for (int c = 0; c < 500; ++c) b.push(0, c, 0.01);
+    for (int r = 10; r < 50; r += 3)
+        b.push(r, static_cast<std::int32_t>(r), 1.0);
+    const CsrMatrix a = std::move(b).finish();
+    const auto x = random_vector(512, 12);
+    std::vector<double> y_ref(50, 0.0);
+    spmv_csr(a, x, y_ref);
+    for (const std::int64_t threads : {3, 8, 16}) {
+        EngineOptions options;
+        options.threads = threads;
+        options.variant = KernelVariant::CsrMerge;
+        KernelEngine engine(a, options);
+        std::vector<double> y(50, 0.0);
+        engine.run(x, y);
+        for (std::size_t i = 0; i < y.size(); ++i)
+            EXPECT_NEAR(y[i], y_ref[i], 1e-12) << "threads " << threads;
+    }
+}
+
 TEST(KernelEngine, ZeroIterationsIsANoOp) {
     const CsrMatrix a = gen::random_uniform(50, 50, 4, 6);
     const auto x = random_vector(50, 7);

@@ -101,48 +101,6 @@ TEST(MergePath, CoordinatesAreMonotone) {
     }
 }
 
-TEST(SpmvMerge, MatchesStandardCsr) {
-    const CsrMatrix a = gen::random_uniform(300, 250, 6, 9);
-    const auto x = random_vector(250, 10);
-    auto y_ref = random_vector(300, 11);
-    auto y0 = y_ref;
-    spmv_csr(a, x, y_ref);
-    for (const std::int64_t pieces : {1, 2, 7, 48, 300}) {
-        auto y = y0;
-        spmv_csr_merge(a, x, y, pieces);
-        for (std::size_t i = 0; i < y.size(); ++i)
-            EXPECT_NEAR(y[i], y_ref[i], 1e-12)
-                << "pieces " << pieces << " row " << i;
-    }
-}
-
-TEST(SpmvMerge, HandlesSkewedRowsAcrossPieceBoundaries) {
-    // One 500-nonzero row followed by many empty and tiny rows: rows
-    // straddle piece boundaries, exercising the carry fix-up.
-    CsrBuilder b(50, 512);
-    for (int c = 0; c < 500; ++c) b.push(0, c, 0.01);
-    for (int r = 10; r < 50; r += 3)
-        b.push(r, static_cast<std::int32_t>(r), 1.0);
-    const CsrMatrix a = std::move(b).finish();
-    const auto x = random_vector(512, 12);
-    std::vector<double> y_ref(50, 0.0);
-    spmv_csr(a, x, y_ref);
-    for (const std::int64_t pieces : {3, 8, 16}) {
-        std::vector<double> y(50, 0.0);
-        spmv_csr_merge(a, x, y, pieces);
-        for (std::size_t i = 0; i < y.size(); ++i)
-            EXPECT_NEAR(y[i], y_ref[i], 1e-12) << "pieces " << pieces;
-    }
-}
-
-TEST(SpmvMerge, EmptyMatrix) {
-    CsrBuilder b(4, 4);
-    const CsrMatrix a = std::move(b).finish();
-    std::vector<double> x(4, 1.0), y(4, 2.0);
-    spmv_csr_merge(a, x, y, 2);
-    for (const double v : y) EXPECT_DOUBLE_EQ(v, 2.0);
-}
-
 TEST(Cg, SolvesLaplacian) {
     const CsrMatrix a = gen::stencil_2d_5pt(16, 16);
     // 5-point Laplacian with diagonal 4 is SPD on the grid interior; use

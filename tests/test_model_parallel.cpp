@@ -135,35 +135,36 @@ TEST_P(ModelParallelTest, PackedReplayMatchesForcedStreaming) {
     // The tentpole differential: the packed-trace replay path (default
     // budget) and the streaming re-derivation fallback (--trace-buffer 0)
     // must agree bit-for-bit across generators x jobs x engines x both
-    // methods; the shard stats must prove each run took the intended path.
+    // methods, exact and SHARDS-sampled; the shard stats must prove each
+    // run took the intended path.
     for (const auto& [name, m] : generator_suite()) {
         for (const std::int64_t jobs : {std::int64_t{1}, std::int64_t{4}}) {
-            ModelOptions packed = base_options(GetParam(), jobs);
-            ModelOptions streamed = packed;
-            streamed.trace_buffer_bytes = 0;
-            const std::string label =
-                name + " jobs=" + std::to_string(jobs);
+            for (const double rate : {1.0, 0.05}) {
+                ModelOptions packed = base_options(GetParam(), jobs);
+                packed.sample_rate = rate;
+                ModelOptions streamed = packed;
+                streamed.trace_buffer_bytes = 0;
+                const std::string label = name + " jobs=" +
+                                          std::to_string(jobs) +
+                                          " rate=" + std::to_string(rate);
+                const auto check = [&](const ModelResult& p,
+                                       const ModelResult& s,
+                                       const std::string& what) {
+                    expect_replay_mode(p, true, label + what + " packed");
+                    expect_replay_mode(s, false, label + what + " streamed");
+                    expect_identical(p, s, label + what);
+                    EXPECT_EQ(p.sampled, rate < 1.0) << label << what;
+                    EXPECT_EQ(p.sampled_refs, s.sampled_refs)
+                        << label << what;
+                };
 
-            const auto a_packed = run_method_a(m, packed);
-            const auto a_streamed = run_method_a(m, streamed);
-            expect_replay_mode(a_packed, true, label + " A/olken packed");
-            expect_replay_mode(a_streamed, false,
-                               label + " A/olken streamed");
-            expect_identical(a_packed, a_streamed, label + " A/olken");
-
-            const auto kim_packed = run_method_a(m, packed, EngineKind::Kim);
-            const auto kim_streamed =
-                run_method_a(m, streamed, EngineKind::Kim);
-            expect_replay_mode(kim_packed, true, label + " A/kim packed");
-            expect_replay_mode(kim_streamed, false,
-                               label + " A/kim streamed");
-            expect_identical(kim_packed, kim_streamed, label + " A/kim");
-
-            const auto b_packed = run_method_b(m, packed);
-            const auto b_streamed = run_method_b(m, streamed);
-            expect_replay_mode(b_packed, true, label + " B packed");
-            expect_replay_mode(b_streamed, false, label + " B streamed");
-            expect_identical(b_packed, b_streamed, label + " B");
+                check(run_method_a(m, packed), run_method_a(m, streamed),
+                      " A/olken");
+                check(run_method_a(m, packed, EngineKind::Kim),
+                      run_method_a(m, streamed, EngineKind::Kim), " A/kim");
+                check(run_method_b(m, packed), run_method_b(m, streamed),
+                      " B");
+            }
         }
     }
 }

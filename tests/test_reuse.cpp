@@ -10,7 +10,6 @@
 #include "reuse/kim.hpp"
 #include "reuse/naive.hpp"
 #include "reuse/olken.hpp"
-#include "util/fault.hpp"
 #include "util/prng.hpp"
 
 namespace spmvcache {
@@ -138,20 +137,6 @@ TEST(Kim, BatchMatchesSerialForEveryChunking) {
 
 TEST(Kim, BatchMatchesSerialWithWideGroups) {
     expect_batch_matches_serial<KimEngine>(std::uint64_t{1} << 16);
-}
-
-TEST(Olken, BatchWithInterleaveFaultArmedMatchesSerial) {
-    // An armed reuse.interleave fault degrades access_batch to the simple
-    // lookahead loop; results must stay bit-identical to serial access().
-    fault::ScopedFault fallback("reuse.interleave",
-                                {.probability = 1.0, .once = false});
-    expect_batch_matches_serial<OlkenEngine>();
-}
-
-TEST(Kim, BatchWithInterleaveFaultArmedMatchesSerial) {
-    fault::ScopedFault fallback("reuse.interleave",
-                                {.probability = 1.0, .once = false});
-    expect_batch_matches_serial<KimEngine>(std::uint64_t{64});
 }
 
 TEST(Olken, EvictedLineBehavesAsNeverAccessed) {

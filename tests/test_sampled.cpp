@@ -98,7 +98,7 @@ void expect_rate_one_bit_identical(Args&&... args) {
                                             : rng.bounded(30000) + 128);
     // Serial half.
     for (std::size_t i = 0; i < lines.size() / 2; ++i)
-        ASSERT_EQ(sampled.access_one(lines[i]), bare.access_one(lines[i]))
+        ASSERT_EQ(sampled.access(lines[i]), bare.access(lines[i]))
             << "ref " << i;
     // Batched half.
     const std::size_t half = lines.size() / 2;
@@ -138,7 +138,7 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
     for (std::size_t i = 0; i < lines.size(); ++i) {
         std::uint64_t got = 0;
         if (i < lines.size() / 2) {
-            got = sampled.access_one(lines[i]);
+            got = sampled.access(lines[i]);
         } else {
             if (i == lines.size() / 2 || (i - lines.size() / 2) % 257 == 0) {
                 const std::size_t n =
@@ -150,7 +150,7 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
                     const std::uint64_t expected =
                         filter.keep(lines[i + k])
                             ? filter.scale_distance(
-                                  reference.access_one(lines[i + k]))
+                                  reference.access(lines[i + k]))
                             : kSkippedDistance;
                     ASSERT_EQ(dists[k], expected) << "ref " << i + k;
                     if (filter.keep(lines[i + k])) ++kept;
@@ -160,7 +160,7 @@ TEST(SampledEngine, SkipAndScaleSemantics) {
         }
         const std::uint64_t expected =
             filter.keep(lines[i])
-                ? filter.scale_distance(reference.access_one(lines[i]))
+                ? filter.scale_distance(reference.access(lines[i]))
                 : kSkippedDistance;
         ASSERT_EQ(got, expected) << "ref " << i;
         if (filter.keep(lines[i])) ++kept;
@@ -178,7 +178,7 @@ template <class Engine, class... Args>
 void expect_lower_rate_evicts(Args&&... args) {
     SampledEngine<Engine> sampled(SampleFilter(0.5), args...);
     Xoshiro256 rng(23);
-    for (int i = 0; i < 30000; ++i) (void)sampled.access_one(rng.bounded(8000));
+    for (int i = 0; i < 30000; ++i) (void)sampled.access(rng.bounded(8000));
     const std::uint64_t tracked_before = sampled.engine().distinct_lines();
     ASSERT_GT(tracked_before, 0u);
 
@@ -205,7 +205,7 @@ void expect_lower_rate_evicts(Args&&... args) {
             break;
         }
     }
-    EXPECT_EQ(sampled.access_one(rejected_line), kSkippedDistance);
+    EXPECT_EQ(sampled.access(rejected_line), kSkippedDistance);
 }
 
 TEST(SampledEngine, LowerRateEvictsOlken) {

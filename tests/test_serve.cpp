@@ -15,10 +15,10 @@
 #include "core/batch.hpp"
 #include "core/matrix_source.hpp"
 #include "model/method_a.hpp"
-#include "serve/fingerprint.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "sparse/fingerprint.hpp"
 #include "sparse/gen/stencil.hpp"
 #include "util/fault.hpp"
 
