@@ -109,7 +109,8 @@ public:
           t_begin_(t_begin),
           st_(st) {
         for (std::int64_t c = 0; c < l1_engines; ++c)
-            engL1_.push_back(make_engine<E>(4096, group_capacity, filter));
+            engL1_.push_back(make_engine<E>(detail::kL1EngineLinesHint,
+                                           group_capacity, filter));
         L1_.resize(engL1_.size());
     }
 

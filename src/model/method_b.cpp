@@ -173,7 +173,7 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
         if (options.predict_l1) {
             engL1.reserve(static_cast<std::size_t>(t_count));
             for (std::int64_t c = 0; c < t_count; ++c)
-                engL1.emplace_back(4096);
+                engL1.emplace_back(detail::kL1EngineLinesHint);
         }
         auto& cnt_p = *cntP[static_cast<std::size_t>(g)];
         auto& cnt_u = *cntU[static_cast<std::size_t>(g)];

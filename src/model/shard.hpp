@@ -8,12 +8,17 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
 #include "sync/thread_pool.hpp"
 
 namespace spmvcache::detail {
+
+/// Expected-lines hint for each per-core L1 engine. Purely a presizing
+/// hint (see OlkenEngine/KimEngine): it never changes a distance.
+inline constexpr std::size_t kL1EngineLinesHint = 4096;
 
 /// Resolves ModelOptions::jobs: 0 means one worker per hardware thread.
 [[nodiscard]] inline std::int64_t resolve_model_jobs(std::int64_t jobs) {

@@ -11,8 +11,9 @@
 // n), bit-identical to n in-order access() calls:
 //  * NaiveStackEngine — O(distance) list walk; the executable definition,
 //    used to cross-check the others in tests.
-//  * OlkenEngine — exact, O(log n) per access via a Fenwick tree over
-//    access times; the workhorse used by the model.
+//  * OlkenEngine — exact, O(log n) per access: an alive bit per access
+//    time under a Fenwick tree over the bitset's 64-bit words, compacted
+//    by in-place rank renumbering; the workhorse used by the model.
 //  * KimEngine — the grouped-stack scheme of Kim et al. [SIGMETRICS'91]
 //    that the paper uses: approximate distances at group granularity with
 //    per-access cost independent of the locality of the trace.

@@ -122,6 +122,14 @@ public:
             if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
     }
 
+    /// Calls fn(value&) for every entry (arbitrary order), so values can
+    /// be rewritten in place without re-probing their keys.
+    template <class Fn>
+    void for_each_value(Fn&& fn) {
+        for (std::size_t i = 0; i < keys_.size(); ++i)
+            if (keys_[i] != kEmptyKey) fn(values_[i]);
+    }
+
 private:
     static std::size_t roundup(std::size_t n) {
         std::size_t p = 64;

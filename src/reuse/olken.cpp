@@ -1,7 +1,7 @@
 #include "reuse/olken.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
 
 #include "util/fault.hpp"
 
@@ -9,27 +9,48 @@ namespace spmvcache {
 
 namespace {
 constexpr std::size_t kInitialSlots = 1 << 16;
+constexpr std::size_t kWordBits = 64;
+
+/// Bits 0..(time mod 64) of time's word.
+constexpr std::uint64_t through_mask(std::uint64_t time) noexcept {
+    return ~std::uint64_t{0} >> (kWordBits - 1 - time % kWordBits);
 }
+
+std::int32_t marks_in(std::uint64_t word) noexcept {
+    return static_cast<std::int32_t>(std::popcount(word));
+}
+}  // namespace
 
 OlkenEngine::OlkenEngine(std::size_t expected_lines)
     : last_access_(expected_lines) {
-    slots_ = kInitialSlots;
-    while (slots_ < expected_lines * 2) slots_ *= 2;
-    tree_.assign(slots_ + 1, 0);
+    std::size_t slots = kInitialSlots;
+    while (slots < expected_lines * 2) slots *= 2;
+    reset_index(slots);
 }
 
-void OlkenEngine::fenwick_add(std::size_t index, int delta) noexcept {
-    // 1-based Fenwick tree.
-    for (std::size_t i = index + 1; i <= slots_; i += i & (~i + 1))
+void OlkenEngine::fenwick_add(std::size_t word, std::int32_t delta) noexcept {
+    for (std::size_t i = word + 1; i < tree_.size(); i += i & (~i + 1))
         tree_[i] += delta;
 }
 
-std::uint64_t OlkenEngine::fenwick_prefix(std::size_t index) const noexcept {
-    // Sum of marks with timestamp <= index.
-    std::uint64_t sum = 0;
-    for (std::size_t i = index + 1; i > 0; i -= i & (~i + 1))
+std::uint64_t OlkenEngine::word_marks_through(
+    std::uint64_t time) const noexcept {
+    return static_cast<std::uint64_t>(std::popcount(
+        bits_[static_cast<std::size_t>(time / kWordBits)] & through_mask(time)));
+}
+
+std::uint64_t OlkenEngine::marks_through(std::uint64_t time) const noexcept {
+    std::uint64_t sum = word_marks_through(time);
+    for (std::size_t i = static_cast<std::size_t>(time / kWordBits); i > 0;
+         i -= i & (~i + 1))
         sum += static_cast<std::uint64_t>(tree_[i]);
     return sum;
+}
+
+void OlkenEngine::unmark(std::uint64_t time) noexcept {
+    const std::size_t word = static_cast<std::size_t>(time / kWordBits);
+    bits_[word] &= ~(std::uint64_t{1} << (time % kWordBits));
+    if (word < now_ / kWordBits) fenwick_add(word, -1);
 }
 
 std::uint64_t OlkenEngine::access(std::uint64_t line) {
@@ -43,16 +64,20 @@ std::uint64_t OlkenEngine::access(std::uint64_t line) {
     std::uint64_t* prev = last_access_.find_or_insert(line, inserted);
     if (!inserted) {
         // Lines accessed after *prev are exactly the distinct lines between
-        // the two accesses; the line itself is counted by prefix, so
-        // alive - prefix(prev) excludes it.
-        distance = alive_ - fenwick_prefix(static_cast<std::size_t>(*prev));
-        fenwick_add(static_cast<std::size_t>(*prev), -1);
+        // the two accesses; the line itself is marked at *prev, so
+        // alive - marks_through(prev) excludes it.
+        distance = alive_ - marks_through(*prev);
+        unmark(*prev);
     } else {
         ++alive_;
     }
     *prev = static_cast<std::uint64_t>(now_);
-    fenwick_add(now_, +1);
+    bits_[now_ / kWordBits] |= std::uint64_t{1} << (now_ % kWordBits);
     ++now_;
+    if (now_ % kWordBits == 0) {
+        const std::size_t full = now_ / kWordBits - 1;
+        fenwick_add(full, marks_in(bits_[full]));
+    }
     return distance;
 }
 
@@ -70,38 +95,56 @@ void OlkenEngine::access_batch(const std::uint64_t* lines,
 bool OlkenEngine::evict(std::uint64_t line) {
     const std::uint64_t* prev = last_access_.find(line);
     if (!prev) return false;
-    fenwick_add(static_cast<std::size_t>(*prev), -1);
+    unmark(*prev);
     last_access_.erase(line);
     --alive_;
     return true;
 }
 
+void OlkenEngine::reset_index(std::size_t slots) {
+    // Marks 0..alive-1: full words of ones, then now_'s partial word.
+    slots_ = slots;
+    now_ = static_cast<std::size_t>(alive_);
+    const std::size_t words = slots_ / kWordBits;
+    const std::size_t full = now_ / kWordBits;
+    bits_.assign(words, 0);
+    std::fill_n(bits_.begin(), full, ~std::uint64_t{0});
+    if (now_ % kWordBits != 0)
+        bits_[full] = (std::uint64_t{1} << (now_ % kWordBits)) - 1;
+    // Node i covers words [i - lowbit(i), i); of those only the full
+    // words below now_'s word carry marks in the tree.
+    tree_.assign(words + 1, 0);
+    for (std::size_t i = 1; i <= words; ++i) {
+        const std::size_t lo = i - (i & (~i + 1));
+        tree_[i] = static_cast<std::int32_t>(
+            kWordBits * (std::min(i, full) - std::min(lo, full)));
+    }
+}
+
 void OlkenEngine::compact() {
-    // Renumber the alive timestamps 0..alive-1 preserving order.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> alive_entries;
-    alive_entries.reserve(static_cast<std::size_t>(alive_));
-    last_access_.for_each([&](std::uint64_t line, std::uint64_t time) {
-        alive_entries.emplace_back(time, line);
+    // Renumber each alive timestamp to its rank minus one, preserving
+    // order. tree_[w] is reused as the count of marks in words [0, w).
+    std::int32_t below = 0;
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+        tree_[w] = below;
+        below += marks_in(bits_[w]);
+    }
+    last_access_.for_each_value([&](std::uint64_t& time) {
+        const auto below_word = static_cast<std::uint64_t>(
+            tree_[static_cast<std::size_t>(time / kWordBits)]);
+        time = below_word + word_marks_through(time) - 1;
     });
-    std::sort(alive_entries.begin(), alive_entries.end());
 
     // Grow if more than half the slot space is alive.
-    while (alive_entries.size() * 2 > slots_) slots_ *= 2;
-    tree_.assign(slots_ + 1, 0);
-    now_ = 0;
-    for (const auto& [time, line] : alive_entries) {
-        last_access_.put(line, static_cast<std::uint64_t>(now_));
-        fenwick_add(now_, +1);
-        ++now_;
-    }
+    std::size_t slots = slots_;
+    while (alive_ * 2 > slots) slots *= 2;
+    reset_index(slots);
 }
 
 void OlkenEngine::clear() {
     last_access_.clear();
-    slots_ = kInitialSlots;
-    tree_.assign(slots_ + 1, 0);
-    now_ = 0;
     alive_ = 0;
+    reset_index(kInitialSlots);
 }
 
 }  // namespace spmvcache

@@ -1,9 +1,20 @@
 // Exact reuse distances in O(log n) per access (Olken's method).
 //
-// A Fenwick tree over access timestamps counts, for each reference, how
-// many lines were touched more recently than the line's previous access.
-// Timestamps grow monotonically; when the slot array fills up, the alive
-// timestamps are compacted and renumbered (amortised O(1) per access).
+// Each access gets the next timestamp; the index marks the timestamp of
+// every tracked line's latest access, so a reuse distance is the number of
+// marks after the line's previous timestamp. The marks live in an alive
+// bitset (one bit per timestamp slot) under a Fenwick tree over the
+// bitset's 64-bit words, so a query is one word-level prefix walk plus one
+// popcount of the partial word. The word currently being filled is kept
+// out of the tree and added when it completes, which saves the walk for
+// the new mark on every access.
+//
+// Timestamps grow monotonically; when the slot space fills up, compaction
+// renumbers every alive timestamp to its rank in place (the hash map's
+// values are rewritten, no sort), rebuilds the bitset as `alive` leading
+// ones and the tree in O(words). A compaction runs after at least
+// slots/2 accesses and costs O(map capacity + words), so it is amortised
+// O(1) per access.
 #pragma once
 
 #include <cstdint>
@@ -64,15 +75,27 @@ public:
     [[nodiscard]] static const char* batch_mode() { return "simple"; }
 
 private:
-    void fenwick_add(std::size_t index, int delta) noexcept;
-    [[nodiscard]] std::uint64_t fenwick_prefix(std::size_t index) const noexcept;
+    /// Marks in `time`'s word up to and including `time` (one popcount).
+    [[nodiscard]] std::uint64_t word_marks_through(
+        std::uint64_t time) const noexcept;
+    /// Marks at or before `time`: the tree's prefix over the words below
+    /// it plus word_marks_through(time).
+    [[nodiscard]] std::uint64_t marks_through(std::uint64_t time) const noexcept;
+    void unmark(std::uint64_t time) noexcept;
+    void fenwick_add(std::size_t word, std::int32_t delta) noexcept;
+    /// Rebuilds bits_ and tree_ over `slots` slots holding marks
+    /// 0..alive-1, and sets now_ = alive.
+    void reset_index(std::size_t slots);
     void compact();
 
-    FlatMap64 last_access_;        ///< line -> timestamp of latest access
-    std::vector<std::int32_t> tree_;  ///< Fenwick tree over timestamps
-    std::size_t slots_ = 0;        ///< capacity of the timestamp space
-    std::size_t now_ = 0;          ///< next timestamp to assign
-    std::uint64_t alive_ = 0;      ///< number of distinct lines
+    FlatMap64 last_access_;            ///< line -> timestamp of latest access
+    std::vector<std::uint64_t> bits_;  ///< alive bit per timestamp slot
+    /// 1-based Fenwick tree of per-word mark counts. Covers the complete
+    /// words below now_'s word; that word joins when now_ leaves it.
+    std::vector<std::int32_t> tree_;
+    std::size_t slots_ = 0;            ///< capacity of the timestamp space
+    std::size_t now_ = 0;              ///< next timestamp to assign
+    std::uint64_t alive_ = 0;          ///< number of distinct lines
 };
 
 }  // namespace spmvcache

@@ -227,6 +227,106 @@ TEST(Olken, ClearForgetsHistory) {
     EXPECT_EQ(e.distinct_lines(), 1u);
 }
 
+TEST(Olken, ReuseAcrossWordBoundariesMatchesNaive) {
+    // Olken's alive marks are packed 64 per word; a query counts whole
+    // words through the tree and the previous timestamp's own word up to
+    // its bit. Reuse lines whose previous timestamps sit on either side of
+    // a word edge, in the current (unfinished) word and in complete ones.
+    NaiveStackEngine naive;
+    OlkenEngine olken;
+    // Line i gets timestamp i: words [0, 64), [64, 128), [128, 192), and
+    // the current word holds 192..199.
+    for (std::uint64_t line = 0; line < 200; ++line)
+        ASSERT_EQ(olken.access(line), naive.access(line));
+    for (const std::uint64_t line :
+         {199u, 195u, 192u, 191u, 128u, 127u, 64u, 63u, 0u, 127u, 64u, 63u}) {
+        ASSERT_EQ(olken.access(line), naive.access(line)) << "line " << line;
+    }
+    // Evict the line just below each edge (its latest timestamp is now in
+    // the current word, which the tree does not cover), then sweep the
+    // edge's neighbourhood: a cold re-insert among reuses from complete
+    // words.
+    for (const std::uint64_t edge : {64u, 128u, 192u}) {
+        ASSERT_EQ(olken.evict(edge - 1), naive.evict(edge - 1));
+        for (std::uint64_t line = edge - 3; line < edge + 3; ++line)
+            ASSERT_EQ(olken.access(line), naive.access(line))
+                << "edge " << edge << " line " << line;
+    }
+    EXPECT_EQ(olken.distinct_lines(), naive.distinct_lines());
+}
+
+TEST(Olken, EvictionsThenCompactionMatchNaive) {
+    // Evict several lines at a time between accesses of a stream that runs
+    // through several compactions (2^16 initial slots): renumbering must
+    // skip every unmarked timestamp.
+    NaiveStackEngine naive;
+    OlkenEngine olken(16);
+    Xoshiro256 rng(5);
+    for (int i = 0; i < 200000; ++i) {
+        if (i % 5000 == 4999) {
+            for (int k = 0; k < 8; ++k) {
+                const std::uint64_t victim = rng.bounded(400);
+                ASSERT_EQ(olken.evict(victim), naive.evict(victim))
+                    << "step " << i;
+            }
+        }
+        const std::uint64_t line = rng.bounded(400);
+        ASSERT_EQ(olken.access(line), naive.access(line)) << "step " << i;
+    }
+    EXPECT_EQ(olken.distinct_lines(), naive.distinct_lines());
+}
+
+/// Mostly cold lines, each followed now and then by a reuse of a recent
+/// line and, rarely, of a far one: `distinct` alive lines with short
+/// naive-stack walks.
+std::vector<std::uint64_t> growing_trace(std::uint64_t distinct,
+                                         std::uint64_t seed) {
+    Xoshiro256 rng(seed);
+    std::vector<std::uint64_t> lines;
+    for (std::uint64_t fresh = 0; fresh < distinct; ++fresh) {
+        lines.push_back(fresh);
+        if (fresh % 16 == 15) lines.push_back(fresh - rng.bounded(16));
+        if (fresh % 4096 == 4095) lines.push_back(rng.bounded(fresh));
+    }
+    return lines;
+}
+
+TEST(Olken, SlotGrowthThroughTwoDoublingsMatchesNaive) {
+    // 150k distinct lines from 2^16 initial slots: the first compaction
+    // finds > 2^15 alive (slots double to 2^17), the second > 2^16 alive
+    // (slots double again to 2^18).
+    NaiveStackEngine naive;
+    OlkenEngine olken(16);
+    const std::vector<std::uint64_t> lines = growing_trace(150000, 8);
+    ASSERT_GT(lines.size(), std::size_t{1} << 17);
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        ASSERT_EQ(olken.access(lines[i]), naive.access(lines[i]))
+            << "step " << i;
+    EXPECT_EQ(olken.distinct_lines(), 150000u);
+}
+
+TEST(Olken, ClearAfterGrowthMatchesFreshEngine) {
+    OlkenEngine grown(16);
+    for (const std::uint64_t line : growing_trace(150000, 9))
+        (void)grown.access(line);
+    grown.clear();
+    EXPECT_EQ(grown.distinct_lines(), 0u);
+
+    // A trace that compacts again from the reset slot space.
+    OlkenEngine fresh(16);
+    NaiveStackEngine naive;
+    Xoshiro256 rng(10);
+    for (int i = 0; i < 150000; ++i) {
+        const std::uint64_t line = rng.uniform() < 0.7
+                                       ? rng.bounded(64)
+                                       : rng.bounded(2000) + 64;
+        const std::uint64_t expected = naive.access(line);
+        ASSERT_EQ(grown.access(line), expected) << "step " << i;
+        ASSERT_EQ(fresh.access(line), expected) << "step " << i;
+    }
+    EXPECT_EQ(grown.distinct_lines(), fresh.distinct_lines());
+}
+
 TEST(Kim, ExactForSmallStacksWithLargeGroups) {
     // With one group larger than the distinct set, distances collapse to
     // group-midpoint estimates; with group capacity 1 they are exact.
