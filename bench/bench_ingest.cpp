@@ -1,11 +1,11 @@
-// Ingestion benchmark for the `.spmvc` binary cache: serial .mtx parse
-// vs chunked-parallel parse vs cached mmap load, over the synthetic suite
-// (or --mm DIR). Every leg goes through load_matrix_handle so the three
-// numbers measure the same contract — a ready-to-model LoadedMatrix with
-// fingerprint and stats attached. Emits a perf-trajectory point to
-// BENCH_ingest.json (--out overrides the path); the headline number is
-// the parse/cached-load speedup, expected well above 10x. --smoke
-// shrinks the suite for CI.
+// Ingestion benchmark for the `.spmvc` binary cache: .mtx parse vs cached
+// mmap load, over the synthetic suite (or --mm DIR). Every leg goes
+// through load_matrix_handle so the numbers measure the same contract — a
+// ready-to-model LoadedMatrix with fingerprint and stats attached. The
+// parse sizes its chunking from the file and the host. Emits a
+// perf-trajectory point to BENCH_ingest.json (--out overrides the path);
+// the headline number is the parse/cached-load speedup, expected well
+// above 10x. --smoke shrinks the suite for CI.
 #include <unistd.h>
 
 #include <filesystem>
@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
     const bool smoke = cli.has("smoke");
     const auto common = parse_common(cli, /*count=*/smoke ? 4 : 8,
                                      /*scale=*/smoke ? 0.25 : 0.75);
-    const std::int64_t jobs = cli.get_int("jobs", 4);
     const std::int64_t warm_iters =
         cli.get_int("warm-iters", smoke ? 3 : 10);
 
@@ -48,8 +47,7 @@ int main(int argc, char** argv) {
         total_mtx_bytes += static_cast<std::uint64_t>(fs::file_size(path));
     }
 
-    std::cout << "Ingestion: serial parse vs parallel parse (jobs=" << jobs
-              << ") vs cached mmap load, " << paths.size()
+    std::cout << "Ingestion: parse vs cached mmap load, " << paths.size()
               << " matrices, " << fmt_bytes(total_mtx_bytes)
               << " of .mtx text\n\n";
 
@@ -63,19 +61,15 @@ int main(int argc, char** argv) {
         return timer.seconds();
     };
 
-    TextTable table({"matrix", "parse [s]", "par parse [s]", "warm write",
-                     "cached [s]", "speedup", "origin ok"});
-    double parse_total = 0.0, parallel_total = 0.0, write_total = 0.0,
-           cached_total = 0.0;
+    TextTable table({"matrix", "parse [s]", "warm write", "cached [s]",
+                     "speedup", "origin ok"});
+    double parse_total = 0.0, write_total = 0.0, cached_total = 0.0;
     bool all_cached = true;
     for (std::size_t n = 0; n < paths.size(); ++n) {
         MatrixSource source;
         source.path = paths[n];
 
         const double parse_s = load_seconds(source);
-        source.parse_jobs = jobs;
-        const double parallel_s = load_seconds(source);
-        source.parse_jobs = 1;
 
         // Cold load with the cache enabled: parse + .spmvc write.
         source.cache_dir = cache_dir.string();
@@ -100,11 +94,10 @@ int main(int argc, char** argv) {
         all_cached = all_cached && cache_hit;
 
         parse_total += parse_s;
-        parallel_total += parallel_s;
         write_total += write_s;
         cached_total += cached_s;
-        table.add_row({suite[n].name, fmt(parse_s, 4), fmt(parallel_s, 4),
-                       fmt(write_s, 4), fmt(cached_s, 5),
+        table.add_row({suite[n].name, fmt(parse_s, 4), fmt(write_s, 4),
+                       fmt(cached_s, 5),
                        fmt(cached_s > 0 ? parse_s / cached_s : 0.0, 1),
                        cache_hit ? "yes" : "NO"});
         std::cerr << suite[n].name << " done\n";
@@ -150,11 +143,7 @@ int main(int argc, char** argv) {
 
     const double speedup =
         cached_total > 0 ? parse_total / cached_total : 0.0;
-    const double parallel_speedup =
-        parallel_total > 0 ? parse_total / parallel_total : 0.0;
-    std::cout << "total: parse " << fmt(parse_total, 3) << " s, parallel "
-              << fmt(parallel_total, 3) << " s ("
-              << fmt(parallel_speedup, 2) << "x), cache write "
+    std::cout << "total: parse " << fmt(parse_total, 3) << " s, cache write "
               << fmt(write_total, 3) << " s, cached load "
               << fmt(cached_total, 4) << " s -> "
               << fmt(speedup, 1) << "x over parse\n";
@@ -169,10 +158,7 @@ int main(int argc, char** argv) {
             << ", \"matrices\": " << paths.size()
             << ", \"total_nnz\": " << total_nnz
             << ", \"mtx_bytes\": " << total_mtx_bytes
-            << ", \"parse_jobs\": " << jobs
             << ", \"parse_seconds\": " << parse_total
-            << ", \"parallel_parse_seconds\": " << parallel_total
-            << ", \"parallel_parse_speedup\": " << parallel_speedup
             << ", \"cache_write_seconds\": " << write_total
             << ", \"cached_load_seconds\": " << cached_total
             << ", \"cached_speedup\": " << speedup

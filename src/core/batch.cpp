@@ -57,7 +57,6 @@ BatchItemResult attempt_one(const std::string& path,
         source.path = path;
         source.strict_parse = options.strict_parse;
         source.cache_dir = options.cache_dir;
-        source.parse_jobs = options.parse_jobs;
         source.index_width = options.index_width;
         Result<LoadedMatrix> handle = load_matrix_handle(source);
         if (!handle.ok())

@@ -61,8 +61,6 @@ struct BatchOptions {
     /// Directory for `.spmvc` binary cache entries (core/matrix_source):
     /// a warm cache turns the parse stage into an mmap; empty disables it.
     std::string cache_dir;
-    /// Parser workers on a cache miss (1 serial, 0 all cores, N > 1 = N).
-    std::int64_t parse_jobs = 1;
     /// SHARDS sampling rate for the model stage (ModelOptions::
     /// sample_rate): 1 = exact, R < 1 = approximate predictions at ~R of
     /// the stack-pass cost. CLI: --approx[=R].

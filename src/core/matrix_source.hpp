@@ -8,9 +8,10 @@
 // With cache_dir set, file sources flow through the `.spmvc` binary cache
 // (sparse/binary_cache.hpp): a fresh cache entry is mmapped zero-copy and
 // the stored fingerprint/stats are reused without touching the .mtx text;
-// a missing, stale or corrupt entry falls back to a parse (parallel when
-// parse_jobs != 1) and rewrites the cache. load_matrix_handle() is the
-// cache-aware entry point; the legacy load_matrix_source() always parses.
+// a missing, stale or corrupt entry falls back to a parse (chunked across
+// the host's cores for large files, sparse/matrix_market.hpp) and rewrites
+// the cache. load_matrix_handle() is the cache-aware entry point; the
+// legacy load_matrix_source() always parses.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +42,6 @@ struct MatrixSource {
     /// Directory for `.spmvc` binary cache entries; empty disables the
     /// cache (every load parses). Created on first write if missing.
     std::string cache_dir;
-    /// Workers for the chunked .mtx parser on a cache miss or uncached
-    /// load: 1 = serial parser (historical behaviour), 0 = all cores,
-    /// N > 1 = that many.
-    std::int64_t parse_jobs = 1;
     /// Physical index width of the loaded arrays: Auto narrows to 32-bit
     /// whenever rows/cols/nnz fit, a forced width is honoured or fails
     /// with UnsupportedError. Part of the identity — the same file at

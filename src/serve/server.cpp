@@ -135,7 +135,6 @@ Server::Server(ServeOptions options)
     // canonical_key ignores them, so memoization is unaffected.
     MatrixSource source = request.source;
     source.cache_dir = options.cache_dir;
-    source.parse_jobs = options.parse_jobs;
     Result<LoadedMatrix> handle = sources->get(source);
     if (!handle.ok())
         return std::move(handle)

@@ -69,8 +69,6 @@ struct ServeOptions {
     /// Directory for `.spmvc` binary cache entries (core/matrix_source);
     /// empty disables the on-disk cache (loads still dedupe in memory).
     std::string cache_dir;
-    /// Parser workers on a cache miss (1 serial, 0 all cores, N > 1 = N).
-    std::int64_t parse_jobs = 1;
     /// Loaded matrices kept resident in the in-memory source cache.
     std::size_t source_cache_entries = 8;
 };

@@ -10,10 +10,18 @@
 // overflow-checked, line length is bounded, and a strict mode rejects
 // trailing garbage, duplicate entries and upper-triangle entries in
 // symmetric files instead of silently repairing them.
+//
+// The parser is chunked: the header (banner, comments, size line) is read
+// serially, the entry region is split at newlines into ~1 MiB chunks (at
+// most four per host worker) parsed inline (one chunk) or on
+// sync/thread_pool, and a merge in file order assembles the matrix. The
+// result — CSR bytes, or the first typed error and its line — is the same
+// for every chunking.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "sparse/any_csr.hpp"
 #include "sparse/csr.hpp"
@@ -39,29 +47,29 @@ struct MmReadOptions {
     IndexWidthChoice index_width = default_index_width_choice();
 };
 
-/// Parses a Matrix Market stream. Errors carry the 1-based line number of
-/// the offending input line.
+/// Parses Matrix Market text held in memory. Errors carry the 1-based
+/// line number of the offending input line.
+/// Fault points: "mm.header", "mm.size_line", "mm.chunk" (once per chunk).
 [[nodiscard]] Result<CsrMatrix> try_read_matrix_market(
-    std::istream& in, const MmReadOptions& options = {});
+    std::string_view text, const MmReadOptions& options = {});
 
-/// Reads a .mtx file from disk; the error chain names the file.
+/// Reads a .mtx file (regular file, pipe or FIFO); the error chain names
+/// the file. Fault points: "mm.open" plus those of the text parse.
 [[nodiscard]] Result<CsrMatrix> try_read_matrix_market_file(
     const std::string& path, const MmReadOptions& options = {});
 
 /// Width-aware parse: honours options.index_width and materializes the
 /// CSR arrays directly at the resolved width (no widen-then-narrow pass).
 [[nodiscard]] Result<AnyCsrMatrix> try_read_matrix_market_any(
-    std::istream& in, const MmReadOptions& options = {});
+    std::string_view text, const MmReadOptions& options = {});
 
 /// Width-aware file read; the error chain names the file.
 [[nodiscard]] Result<AnyCsrMatrix> try_read_matrix_market_any_file(
     const std::string& path, const MmReadOptions& options = {});
 
-/// Legacy throwing wrapper: throws StatusError (a std::runtime_error) on
-/// malformed input or unsupported format (complex field, array format).
-[[nodiscard]] CsrMatrix read_matrix_market(std::istream& in);
-
-/// Legacy throwing wrapper: throws StatusError if unreadable or malformed.
+/// Legacy throwing wrappers: throw StatusError (a std::runtime_error) on
+/// unreadable, malformed or unsupported input (complex field, array).
+[[nodiscard]] CsrMatrix read_matrix_market(std::string_view text);
 [[nodiscard]] CsrMatrix read_matrix_market_file(const std::string& path);
 
 /// Writes `m` in coordinate/real/general format.
@@ -69,5 +77,16 @@ void write_matrix_market(std::ostream& out, const CsrMatrix& m);
 
 /// Writes `m` to a .mtx file. Throws StatusError if unwritable.
 void write_matrix_market_file(const std::string& path, const CsrMatrix& m);
+
+namespace detail {
+
+/// Test seam: try_read_matrix_market on a fixed grid, not the one derived
+/// from the input and host: ceil(entry bytes / chunk_bytes) chunks clamped
+/// to [1, 4 * workers], run on min(workers, chunks) threads (one inline).
+[[nodiscard]] Result<CsrMatrix> try_read_matrix_market_chunked(
+    std::string_view text, const MmReadOptions& options,
+    std::size_t workers, std::size_t chunk_bytes);
+
+}  // namespace detail
 
 }  // namespace spmvcache

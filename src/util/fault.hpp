@@ -7,12 +7,12 @@
 // reuse engine checks one per access).
 //
 //   // library code
-//   SPMV_RETURN_IF_ERROR(fault::maybe_fail("mm.read_entry"));   // Status path
+//   SPMV_RETURN_IF_ERROR(fault::maybe_fail("mm.chunk"));        // Status path
 //   fault::maybe_throw("trace.generate");                       // throwing path
 //
 //   // test code
-//   fault::ScopedFault f("mm.read_entry", {.fail_after = 3});
-//   ... third entry read reports ErrorCode::FaultInjected ...
+//   fault::ScopedFault f("mm.chunk", {.fail_after = 2});
+//   ... the third chunk parsed reports ErrorCode::FaultInjected ...
 //
 // Every library point name is listed in util/fault_points.hpp (the
 // central registry): arm() soft-checks names against it at runtime, and

@@ -23,12 +23,11 @@ namespace spmvcache::fault {
 
 /// Every injection point declared by library code, grouped by subsystem.
 inline constexpr std::string_view kRegisteredPoints[] = {
-    // Matrix Market parsing (sparse/matrix_market, sparse/mm_parallel)
+    // Matrix Market parsing (sparse/matrix_market)
     "mm.open",
     "mm.header",
     "mm.size_line",
-    "mm.read_entry",
-    "mm.parallel",
+    "mm.chunk",
     // .spmvc binary cache (sparse/binary_cache)
     "cache.write",
     "cache.map",

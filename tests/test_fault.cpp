@@ -3,7 +3,6 @@
 // generator, and the reuse engine.
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "reuse/olken.hpp"
 #include "sparse/gen/stencil.hpp"
@@ -92,14 +91,16 @@ TEST_F(FaultTest, ScopedFaultDisarmsOnExit) {
 }
 
 TEST_F(FaultTest, ParserEntryPointProducesTypedError) {
-    fault::ScopedFault f("mm.read_entry", {.fail_after = 1});
-    std::stringstream ss(
+    fault::ScopedFault f("mm.chunk", {.fail_after = 1});
+    // One worker and 8-byte chunks: each entry line is its own chunk and
+    // chunks parse in file order, so the second chunk holds entry 2.
+    const Result<CsrMatrix> r = detail::try_read_matrix_market_chunked(
         "%%MatrixMarket matrix coordinate real general\n"
         "3 3 3\n"
         "1 1 1.0\n"
         "2 2 2.0\n"
-        "3 3 3.0\n");
-    const Result<CsrMatrix> r = try_read_matrix_market(ss);
+        "3 3 3.0\n",
+        MmReadOptions{}, /*workers=*/1, /*chunk_bytes=*/8);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), ErrorCode::FaultInjected);
     // The error context names the entry that was being read.
@@ -113,8 +114,7 @@ TEST_F(FaultTest, ParserHeaderAndSizeLinePointsFire) {
         "1 1 1.0\n";
     for (const char* point : {"mm.header", "mm.size_line"}) {
         fault::ScopedFault f(point);
-        std::stringstream ss(text);
-        const Result<CsrMatrix> r = try_read_matrix_market(ss);
+        const Result<CsrMatrix> r = try_read_matrix_market(text);
         ASSERT_FALSE(r.ok()) << point;
         EXPECT_EQ(r.code(), ErrorCode::FaultInjected) << point;
         EXPECT_NE(r.error().render().find(point), std::string::npos);

@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -116,12 +115,11 @@ std::string huge_cols_mtx() {
 }
 
 TEST(IndexWidthParse, AutoFallsBackToW64OnHugeColumnSpace) {
-    std::istringstream in(huge_cols_mtx());
     // Explicit Auto: the build default may be pinned to a forced width
     // (cmake SPMV_DEFAULT_INDEX_WIDTH) and this test is about fallback.
     MmReadOptions options;
     options.index_width = IndexWidthChoice::Auto;
-    const Result<AnyCsrMatrix> m = try_read_matrix_market_any(in, options);
+    const Result<AnyCsrMatrix> m = try_read_matrix_market_any(huge_cols_mtx(), options);
     ASSERT_TRUE(m.ok()) << m.error().render();
     EXPECT_EQ(m.value().index_width(), IndexWidth::W64);
     const AnyCsrView v = m.value().view();
@@ -130,21 +128,20 @@ TEST(IndexWidthParse, AutoFallsBackToW64OnHugeColumnSpace) {
 }
 
 TEST(IndexWidthParse, ForcedW32OnHugeColumnSpaceIsUnsupported) {
-    std::istringstream in(huge_cols_mtx());
     MmReadOptions options;
     options.index_width = IndexWidthChoice::W32;
-    const Result<AnyCsrMatrix> m = try_read_matrix_market_any(in, options);
+    const Result<AnyCsrMatrix> m = try_read_matrix_market_any(huge_cols_mtx(), options);
     ASSERT_FALSE(m.ok());
     EXPECT_EQ(m.code(), ErrorCode::UnsupportedError);
 }
 
 TEST(IndexWidthParse, ForcedW64OnSmallMatrixWidens) {
-    std::istringstream in(
-        "%%MatrixMarket matrix coordinate real general\n"
-        "2 2 2\n1 1 1.0\n2 2 2.0\n");
     MmReadOptions options;
     options.index_width = IndexWidthChoice::W64;
-    const Result<AnyCsrMatrix> m = try_read_matrix_market_any(in, options);
+    const Result<AnyCsrMatrix> m = try_read_matrix_market_any(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 2\n1 1 1.0\n2 2 2.0\n",
+        options);
     ASSERT_TRUE(m.ok()) << m.error().render();
     EXPECT_EQ(m.value().index_width(), IndexWidth::W64);
 }

@@ -17,8 +17,9 @@
 //
 // With --cache-dir DIR, file loads go through the `.spmvc` binary cache
 // (sparse/binary_cache.hpp): the first load parses and writes a cache
-// entry, later loads mmap it zero-copy. --parse-jobs N parses .mtx text
-// with N workers on a miss (0 = all cores; results are bit-identical).
+// entry, later loads mmap it zero-copy. A miss parses the .mtx text in
+// chunks across the host's cores, sized from the file; the matrix is
+// bit-identical for every chunking.
 //
 // Exit codes are standardised: 0 = success, 1 = input/matrix errors (for
 // `batch`: some matrices failed — including matrices still pending when a
@@ -78,9 +79,6 @@ using namespace spmvcache;
            "         --cache-dir DIR  .spmvc binary cache for file loads\n"
            "                   (stats/predict/tune/batch/serve/cache; a\n"
            "                   valid entry is mmapped instead of parsed)\n"
-           "         --parse-jobs N  chunked-parallel .mtx parse on a cache\n"
-           "                   miss (default 1 = serial, 0 = all cores;\n"
-           "                   the resulting matrix is bit-identical)\n"
            "         --jobs J  host workers for the sharded model (0 = all\n"
            "                   hardware threads, 1 = serial; predictions\n"
            "                   are identical for every value)\n"
@@ -147,7 +145,6 @@ void report_error(const Error& e) {
     }
     source.strict_parse = cli.has("strict");
     source.cache_dir = cli.get("cache-dir", "");
-    source.parse_jobs = cli.get_int("parse-jobs", 1);
     if (cli.has("index-width")) {
         const Result<IndexWidthChoice> width =
             parse_index_width_choice(cli.get("index-width", "auto"));
@@ -166,7 +163,7 @@ void report_error(const Error& e) {
 }
 
 /// Cache-aware load for the model-facing subcommands; honours --cache-dir
-/// and --parse-jobs and reports how the matrix was obtained.
+/// and reports how the matrix was obtained.
 [[nodiscard]] Result<LoadedMatrix> load_handle(const CliParser& cli,
                                                std::size_t arg_index) {
     return load_matrix_handle(matrix_source(cli, arg_index));
@@ -518,7 +515,6 @@ int cmd_batch(const CliParser& cli) {
     options.timeout_seconds = cli.get_double("timeout", 0.0);
     options.retry_transient = !cli.has("no-retry");
     options.cache_dir = cli.get("cache-dir", "");
-    options.parse_jobs = cli.get_int("parse-jobs", 1);
     if (cli.has("index-width")) {
         const Result<IndexWidthChoice> width =
             parse_index_width_choice(cli.get("index-width", "auto"));
@@ -614,7 +610,6 @@ int cmd_serve(const CliParser& cli) {
         options.max_request_bytes = static_cast<std::size_t>(mb);
     options.execute_delay_seconds = cli.get_double("execute-delay", 0.0);
     options.cache_dir = cli.get("cache-dir", "");
-    options.parse_jobs = cli.get_int("parse-jobs", 1);
     options.source_cache_entries = static_cast<std::size_t>(
         std::max<std::int64_t>(1, cli.get_int("source-cache", 8)));
 
@@ -652,7 +647,6 @@ int cmd_cache_warm(const CliParser& cli) {
         source.path = path;
         source.strict_parse = cli.has("strict");
         source.cache_dir = cache_dir;
-        source.parse_jobs = cli.get_int("parse-jobs", 1);
         if (cli.has("index-width")) {
             const Result<IndexWidthChoice> width =
                 parse_index_width_choice(cli.get("index-width", "auto"));
