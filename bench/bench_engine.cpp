@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
 #include "reuse/sampled.hpp"
 
@@ -66,13 +65,12 @@ struct Legs {
     std::uint64_t approx_sampled_refs = 0;
 };
 
-/// Runs both legs on fresh engines over the same stream.
-template <class Engine, class... Args>
+/// Runs both legs on fresh Olken engines over the same stream.
 Legs run_legs(const std::vector<std::uint64_t>& lines, double sample_rate,
-              Args&&... args) {
+              std::uint64_t distinct) {
     Legs legs;
-    legs.batched_seconds = run_batched(Engine(args...), lines);
-    SampledEngine<Engine> sampled(SampleFilter(sample_rate), args...);
+    legs.batched_seconds = run_batched(OlkenEngine(distinct), lines);
+    SampledEngine<OlkenEngine> sampled(SampleFilter(sample_rate), distinct);
     legs.approx_seconds = run_batched(sampled, lines);
     legs.approx_sampled_refs = sampled.sampled_refs();
     return legs;
@@ -97,12 +95,6 @@ int main(int argc, char** argv) {
     const std::uint64_t seed =
         static_cast<std::uint64_t>(cli.get_int("seed", 42));
     const double sample_rate = cli.get_double("sample-rate", 0.01);
-    // Wide groups (8 groups over the default footprint) keep Kim's
-    // O(#groups) demotion cascade proportionate to the hash and node
-    // misses the batched pipeline hides; sub-group distance resolution is
-    // unaffected by the batching either way.
-    const std::uint64_t kim_groups = static_cast<std::uint64_t>(
-        cli.get_int("group-capacity", 1 << 20));
 
     std::cout << "Engine throughput, " << refs << " refs over " << distinct
               << " distinct lines (exact access_batch() vs SHARDS-sampled R="
@@ -111,8 +103,7 @@ int main(int argc, char** argv) {
     const std::vector<std::uint64_t> lines =
         make_stream(refs, distinct, seed);
 
-    const Legs kim = run_legs<KimEngine>(lines, sample_rate, kim_groups);
-    const Legs olken = run_legs<OlkenEngine>(lines, sample_rate, distinct);
+    const Legs olken = run_legs(lines, sample_rate, distinct);
 
     const auto rate = [&](double s) {
         return s > 0 ? static_cast<double>(refs) / s : 0.0;
@@ -130,13 +121,11 @@ int main(int argc, char** argv) {
                                    legs.approx_seconds),
                            1)});
     };
-    add_row("kim", kim);
     add_row("olken", olken);
     table.render(std::cout);
     std::cout << "approx counted in input refs/s ("
-              << kim.approx_sampled_refs << " kim / "
               << olken.approx_sampled_refs
-              << " olken refs survived the filter)\n";
+              << " refs survived the filter)\n";
 
     const std::string out_path =
         cli.get("out", "BENCH_engine_throughput.json");
@@ -160,9 +149,8 @@ int main(int argc, char** argv) {
         out << "{\"bench\": \"engine_throughput\", \"refs\": " << refs
             << ", \"distinct_lines\": " << distinct
             << ", \"smoke\": " << (smoke ? "true" : "false")
-            << ", \"sample_rate\": " << sample_rate << ",\n \"kim\": "
-            << engine_json(kim) << ",\n \"olken\": " << engine_json(olken)
-            << "}\n";
+            << ", \"sample_rate\": " << sample_rate
+            << ",\n \"olken\": " << engine_json(olken) << "}\n";
         std::cout << "perf point written to " << out_path << "\n";
     } else {
         std::cerr << "cannot write " << out_path << "\n";

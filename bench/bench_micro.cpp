@@ -7,7 +7,6 @@
 
 #include "cachesim/hierarchy.hpp"
 #include "kernels/spmv.hpp"
-#include "reuse/kim.hpp"
 #include "reuse/naive.hpp"
 #include "reuse/olken.hpp"
 #include "sparse/gen/random.hpp"
@@ -50,14 +49,6 @@ void BM_ReuseOlken(benchmark::State& state) {
     engine_benchmark(state, engine, trace);
 }
 BENCHMARK(BM_ReuseOlken)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_ReuseKim(benchmark::State& state) {
-    const auto trace = synthetic_trace(
-        1 << 16, static_cast<std::uint64_t>(state.range(0)));
-    KimEngine engine(512);
-    engine_benchmark(state, engine, trace);
-}
-BENCHMARK(BM_ReuseKim)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_ReuseNaive(benchmark::State& state) {
     const auto trace = synthetic_trace(

@@ -86,7 +86,6 @@ BatchItemResult attempt_one(const std::string& path,
             ModelOptions model;
             model.threads = options.threads;
             model.jobs = options.jobs;
-            model.trace_buffer_bytes = options.trace_buffer_bytes;
             model.l2_way_options = options.l2_way_options;
             model.predict_l1 = false;
             model.sample_rate = options.sample_rate;

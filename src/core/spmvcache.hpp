@@ -24,7 +24,6 @@
 #include "model/method_b.hpp"
 #include "perf/timing.hpp"
 #include "reuse/histogram.hpp"
-#include "reuse/kim.hpp"
 #include "reuse/naive.hpp"
 #include "reuse/olken.hpp"
 #include "sparse/csr.hpp"

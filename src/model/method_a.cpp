@@ -1,15 +1,12 @@
 #include "model/method_a.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "model/replay.hpp"
 #include "model/shard.hpp"
 #include "reuse/histogram.hpp"
-#include "reuse/kim.hpp"
 #include "reuse/olken.hpp"
 #include "reuse/sampled.hpp"
 #include "trace/spmv_trace.hpp"
@@ -43,25 +40,19 @@ const ConfigPrediction& ModelResult::at(std::uint32_t l2_sector_ways) const {
 
 namespace {
 
-/// Builds one shard engine: the SHARDS adapter around E, which passes
-/// every call straight through under the exact filter. Olken presizes for
-/// the lines it will track (~R of `lines_hint`, plus headroom, under
-/// sampling); Kim needs only its group capacity.
-template <class E>
-SampledEngine<E> make_engine(std::size_t lines_hint,
-                             std::uint64_t group_capacity,
-                             const SampleFilter& filter) {
-    if constexpr (std::is_same_v<E, KimEngine>) {
-        return SampledEngine<E>(filter, group_capacity);
-    } else {
-        const std::size_t hint =
-            filter.exact() ? lines_hint
-                           : static_cast<std::size_t>(
-                                 static_cast<double>(lines_hint) *
-                                 filter.rate()) +
-                                 64;
-        return SampledEngine<E>(filter, hint);
-    }
+using ShardEngine = SampledEngine<OlkenEngine>;
+
+/// Builds one shard engine: the SHARDS adapter around Olken, which passes
+/// every call straight through under the exact filter. Presized for the
+/// lines it will track (~R of `lines_hint`, plus headroom, under
+/// sampling).
+ShardEngine make_engine(std::size_t lines_hint, const SampleFilter& filter) {
+    const std::size_t hint =
+        filter.exact() ? lines_hint
+                       : static_cast<std::size_t>(
+                             static_cast<double>(lines_hint) * filter.rate()) +
+                             64;
+    return ShardEngine(filter, hint);
 }
 
 /// Everything one shard accumulates; queried after the parallel phase.
@@ -86,41 +77,44 @@ struct ShardCounters {
     std::uint64_t references = 0;
     std::uint64_t sampled_refs = 0;
     double seconds = 0.0;
-    bool packed = false;
 };
 
+/// Sink recording every distance in `all`, and the x-vector ones in
+/// `x_only` when given.
+auto record_into(CapacityMissCounter& all, CapacityMissCounter* x_only) {
+    return [&all, x_only](std::uint64_t distance, bool is_x) {
+        all.record(distance);
+        if (x_only != nullptr && is_x) x_only->record(distance);
+    };
+}
+
 /// The engines one shard feeds — both sectors (Eq. 2), the unpartitioned
-/// pass, and optionally one per-core L1 engine per simulated thread — and
-/// the chunk scratch between them. gather() routes one reference to each
-/// engine's line list; flush() runs every list through access_batch and
-/// records the distances (counted pass only). Each engine sees exactly its
+/// pass, and optionally one per-core L1 engine per simulated thread.
+/// gather() routes one reference to each engine's feed; flush() runs every
+/// feed's chunk and records its finite distances; finish() records the
+/// first touches' counted-pass distances. Each engine sees exactly its
 /// trace-order subsequence, so distances do not depend on where a chunk
 /// ends.
-template <class E>
 class ShardReplay {
 public:
-    ShardReplay(std::size_t lines_hint, std::uint64_t group_capacity,
-                std::int64_t l1_engines, const SampleFilter& filter,
-                SectorPolicy policy, std::int64_t t_begin, ShardCounters& st)
-        : eng0_(make_engine<E>(lines_hint, group_capacity, filter)),
-          eng1_(make_engine<E>(lines_hint, group_capacity, filter)),
-          engU_(make_engine<E>(lines_hint, group_capacity, filter)),
+    ShardReplay(std::size_t lines_hint, std::int64_t l1_engines,
+                const SampleFilter& filter, SectorPolicy policy,
+                std::int64_t t_begin, ShardCounters& st)
+        : s0_(make_engine(lines_hint, filter)),
+          s1_(make_engine(lines_hint, filter)),
+          U_(make_engine(lines_hint, filter)),
           policy_(policy),
           t_begin_(t_begin),
           st_(st) {
         for (std::int64_t c = 0; c < l1_engines; ++c)
-            engL1_.push_back(make_engine<E>(detail::kL1EngineLinesHint,
-                                           group_capacity, filter));
-        L1_.resize(engL1_.size());
+            L1_.emplace_back(make_engine(detail::kL1EngineLinesHint, filter));
     }
 
-    bool counting = false;
-
     void gather(std::uint64_t line, DataObject object, std::uint32_t thread) {
-        const unsigned char is_x = object == DataObject::X ? 1 : 0;
+        const bool is_x = object == DataObject::X;
         U_.add(line, is_x);
         if (sector_of(object, policy_) == 1)
-            s1_.add(line, 0);
+            s1_.add(line, false);
         else
             s0_.add(line, is_x);
         if (!L1_.empty())
@@ -130,54 +124,28 @@ public:
     }
 
     void flush() {
-        U_.run(engU_);
-        s0_.run(eng0_);
-        s1_.run(eng1_);
-        for (std::size_t t = 0; t < L1_.size(); ++t) L1_[t].run(engL1_[t]);
-        if (counting) {
-            st_.references += U_.lines.size();
-            s0_.record(st_.cnt0, &st_.cnt_x);
-            s1_.record(st_.cnt1, nullptr);
-            U_.record(st_.cntU, &st_.cnt_xU);
-            for (const Chunk& c : L1_) c.record(st_.cntL1, &st_.cnt_xL1);
-        }
-        for (Chunk* c : {&U_, &s0_, &s1_}) c->clear();
-        for (Chunk& c : L1_) c.clear();
+        st_.references += U_.pending();
+        for_each_feed([](Feed& feed, auto sink) { feed.flush(sink); });
+    }
+
+    void finish() {
+        for_each_feed([](Feed& feed, auto sink) { feed.finish(sink); });
     }
 
 private:
-    /// One engine's share of the current chunk.
-    struct Chunk {
-        std::vector<std::uint64_t> lines, dists;
-        std::vector<unsigned char> is_x;  // x-vector flags
+    using Feed = detail::EngineFeed<ShardEngine>;
 
-        void add(std::uint64_t line, unsigned char x) {
-            lines.push_back(line);
-            is_x.push_back(x);
-        }
-        void run(SampledEngine<E>& engine) {
-            dists.resize(lines.size());
-            engine.access_batch(lines.data(), dists.data(), lines.size());
-        }
-        /// Records every distance in `all`, and the x-vector ones in
-        /// `x_only` when given.
-        void record(CapacityMissCounter& all,
-                    CapacityMissCounter* x_only) const {
-            for (std::size_t i = 0; i < dists.size(); ++i) {
-                all.record(dists[i]);
-                if (x_only != nullptr && is_x[i]) x_only->record(dists[i]);
-            }
-        }
-        void clear() {
-            lines.clear();
-            is_x.clear();
-        }
-    };
+    /// Calls fn(feed, sink) for every engine with its counters' sink.
+    template <class Fn>
+    void for_each_feed(Fn&& fn) {
+        fn(U_, record_into(st_.cntU, &st_.cnt_xU));
+        fn(s0_, record_into(st_.cnt0, &st_.cnt_x));
+        fn(s1_, record_into(st_.cnt1, nullptr));
+        for (Feed& feed : L1_) fn(feed, record_into(st_.cntL1, &st_.cnt_xL1));
+    }
 
-    SampledEngine<E> eng0_, eng1_, engU_;
-    std::vector<SampledEngine<E>> engL1_;
-    Chunk s0_, s1_, U_;
-    std::vector<Chunk> L1_;
+    Feed s0_, s1_, U_;
+    std::vector<Feed> L1_;
     SectorPolicy policy_;
     std::int64_t t_begin_;
     ShardCounters& st_;
@@ -192,19 +160,18 @@ struct ShardContext {
     TraceConfig trace_cfg;
     std::size_t lines_hint = 0;
     std::vector<std::uint64_t> segment_lengths;  ///< demand refs per segment
-    std::uint64_t shard_budget_bytes = 0;
     /// The run's SHARDS filter (exact unless sampling is on); shared by
-    /// the packed-trace pre-filter and the shard engines so both agree on
-    /// the kept line subset.
+    /// the trace replay and the shard engines so both agree on the kept
+    /// line subset.
     SampleFilter filter;
 };
 
-/// One shard = one L2 segment. Packs the segment's slice of the trace once
-/// when it fits the shard's budget, else re-derives it per pass; either
-/// way a warm-up and a counted pass run through ShardReplay's batch path,
-/// feeding the partitioned engines (Eq. 2), the unpartitioned engine, and
-/// the segment's per-core L1 engines.
-template <class Idx, class E>
+/// One shard = one L2 segment. Derives the segment's slice of the trace
+/// once and streams it through ShardReplay's batch path, feeding the
+/// partitioned engines (Eq. 2), the unpartitioned engine, and the
+/// segment's per-core L1 engines; the counted iteration's first touches
+/// come from the wrap-around sweep at the end.
+template <class Idx>
 void run_shard(const ShardContext<Idx>& ctx, std::int64_t s,
                ShardCounters& st) {
     const Timer shard_timer;
@@ -215,27 +182,18 @@ void run_shard(const ShardContext<Idx>& ctx, std::int64_t s,
         std::min(options.threads, t_begin + machine.cores_per_numa) - t_begin;
     const auto seg = static_cast<std::size_t>(s);
 
-    ShardReplay<E> replay(ctx.lines_hint, options.kim_group_capacity,
-                          options.predict_l1 ? t_count : 0, ctx.filter,
-                          options.policy, t_begin, st);
-    const std::optional<std::vector<std::uint64_t>> packed =
-        detail::pack_segment_within_budget(
-            ctx.m, ctx.layout, ctx.trace_cfg, machine.cores_per_numa, s,
-            ctx.segment_lengths[seg], ctx.shard_budget_bytes, ctx.filter);
-    st.packed = packed.has_value();
-
-    for (const bool counting : {false, true}) {  // warm-up, then measured
-        replay.counting = counting;
-        detail::replay_segment_pass(
-            packed, ctx.m, ctx.layout, ctx.trace_cfg, machine.cores_per_numa,
-            s, ctx.filter,
-            [&](std::uint64_t line, DataObject object, std::uint32_t thread) {
-                replay.gather(line, object, thread);
-            },
-            [&] { replay.flush(); });
-    }
-    // The passes counted the kept references only; under sampling the
-    // full demand count comes from the segment lengths.
+    ShardReplay replay(ctx.lines_hint, options.predict_l1 ? t_count : 0,
+                       ctx.filter, options.policy, t_begin, st);
+    detail::replay_segment_pass(
+        ctx.m, ctx.layout, ctx.trace_cfg, machine.cores_per_numa, s,
+        ctx.filter,
+        [&](std::uint64_t line, DataObject object, std::uint32_t thread) {
+            replay.gather(line, object, thread);
+        },
+        [&] { replay.flush(); });
+    replay.finish();
+    // The pass counted the kept references only; under sampling the full
+    // demand count comes from the segment lengths.
     st.sampled_refs = st.references;
     if (!ctx.filter.exact()) st.references = ctx.segment_lengths[seg];
     st.seconds = shard_timer.seconds();
@@ -249,18 +207,17 @@ void run_shard(const ShardContext<Idx>& ctx, std::int64_t s,
 /// the accounting (the width-differential tests do exactly that).
 template <class Idx>
 ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
-                              const ModelOptions& options,
-                              EngineKind engine_kind) {
+                              const ModelOptions& options) {
     SPMV_EXPECTS(options.threads >= 1);
     SPMV_EXPECTS(options.threads <= options.machine.cores);
     SPMV_EXPECTS(options.jobs >= 0);
     SPMV_EXPECTS(options.sample_rate > 0.0 && options.sample_rate <= 1.0);
     const Timer timer;
 
-    // Resolved once per run: every shard (and the packed-trace
-    // pre-filter) shares this filter, so all passes agree on the kept
-    // line subset. An armed `reuse.sample` fault yields the exact filter
-    // here — the whole run degrades to exact computation.
+    // Resolved once per run: every shard shares this filter, so all
+    // engines agree on the kept line subset. An armed `reuse.sample`
+    // fault yields the exact filter here — the whole run degrades to
+    // exact computation.
     const SampleFilter filter =
         detail::resolve_sample_filter(options.sample_rate);
 
@@ -288,22 +245,18 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
     const std::int64_t effective_jobs =
         std::max<std::int64_t>(1, std::min(jobs, segments));
 
-    ShardContext<Idx> ctx{m, layout, options,
-                     TraceConfig{options.threads, options.partition,
-                                 options.quantum},
-                     static_cast<std::size_t>(
-                         layout.total_lines() /
-                         static_cast<std::uint64_t>(segments)) +
-                         64,
-                     spmv_segment_lengths(
-                         m,
-                         TraceConfig{options.threads, options.partition,
-                                     options.quantum},
-                         machine.cores_per_numa),
-                     detail::resolve_trace_buffer_bytes(
-                         options.trace_buffer_bytes) /
-                         static_cast<std::uint64_t>(effective_jobs),
-                     filter};
+    const TraceConfig trace_cfg{options.threads, options.partition,
+                                options.quantum};
+    const ShardContext<Idx> ctx{
+        m,
+        layout,
+        options,
+        trace_cfg,
+        static_cast<std::size_t>(layout.total_lines() /
+                                 static_cast<std::uint64_t>(segments)) +
+            64,
+        spmv_segment_lengths(m, trace_cfg, machine.cores_per_numa),
+        filter};
 
     std::vector<ShardCounters> shard_state;
     shard_state.reserve(static_cast<std::size_t>(segments));
@@ -311,11 +264,7 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
         shard_state.emplace_back(caps0, caps1, cap_full, l1_cap);
 
     detail::for_each_shard(segments, jobs, [&](std::int64_t s) {
-        auto& st = shard_state[static_cast<std::size_t>(s)];
-        if (engine_kind == EngineKind::Kim)
-            run_shard<Idx, KimEngine>(ctx, s, st);
-        else
-            run_shard<Idx, OlkenEngine>(ctx, s, st);
+        run_shard(ctx, s, shard_state[static_cast<std::size_t>(s)]);
     });
 
     // ---- Assemble ---------------------------------------------------------
@@ -370,10 +319,13 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
         const auto& st = shard_state[static_cast<std::size_t>(s)];
         const std::int64_t t_begin = s * machine.cores_per_numa;
         result.shards.push_back(ShardStats{
-            s,
-            std::min(options.threads, t_begin + machine.cores_per_numa) -
+            .segment = s,
+            .threads =
+                std::min(options.threads, t_begin + machine.cores_per_numa) -
                 t_begin,
-            st.references, st.seconds, st.packed, st.sampled_refs});
+            .references = st.references,
+            .seconds = st.seconds,
+            .sampled_refs = st.sampled_refs});
         result.sampled_refs += st.sampled_refs;
     }
     result.jobs = effective_jobs;
@@ -381,11 +333,9 @@ ModelResult run_method_a_impl(const BasicCsrView<Idx>& m,
     return result;
 }
 
-ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options,
-                         EngineKind engine_kind) {
-    return m.visit([&](const auto& v) {
-        return run_method_a_impl(v, options, engine_kind);
-    });
+ModelResult run_method_a(const AnyCsrView& m, const ModelOptions& options) {
+    return m.visit(
+        [&](const auto& v) { return run_method_a_impl(v, options); });
 }
 
 }  // namespace spmvcache

@@ -2,12 +2,13 @@
 //
 // The SpMV memory trace is generated from the sparsity pattern (never from
 // instrumentation), per-thread streams are interleaved round-robin within
-// each shared L2 segment, and a stack-processing engine computes the reuse
-// distance of every reference. Two passes are made, exactly as the paper
-// describes: one with all references counted in a single partition (sector
-// cache off) and one with references split between partitions by the
-// sector policy (Eq. 2). A warm-up iteration populates the stack so the
-// counted iteration has no cold misses.
+// each shared L2 segment, and an exact stack-processing engine (Olken's)
+// computes the reuse distance of every reference. As the paper describes,
+// references are priced both in a single partition (sector cache off) and
+// split between partitions by the sector policy (Eq. 2), and the counted
+// iteration follows a warm-up iteration. The trace is replayed once: the
+// counted iteration's distances are derived from the warm-up pass
+// (model/replay.hpp).
 //
 // One pass prices *every* requested way split at once: the reuse-distance
 // histogram is evaluated at each partition capacity (the paper's stated
@@ -20,19 +21,12 @@
 
 namespace spmvcache {
 
-/// Which stack-processing engine method (A) uses.
-enum class EngineKind {
-    Olken,  ///< exact, O(log n) per reference
-    Kim,    ///< Kim et al. grouped stack: approximate, locality-independent
-};
-
 /// Runs method (A). The result contains one entry per requested L2 way
 /// option plus the unpartitioned case. Accepts either physical index
 /// width (AnyCsrView converts implicitly from both concrete views); the
 /// traffic accounting follows the storage width unless ModelOptions pins
 /// it (accounting_*_bytes).
 [[nodiscard]] ModelResult run_method_a(const AnyCsrView& m,
-                                       const ModelOptions& options,
-                                       EngineKind engine = EngineKind::Olken);
+                                       const ModelOptions& options);
 
 }  // namespace spmvcache

@@ -67,8 +67,8 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
     SPMV_EXPECTS(options.sample_rate > 0.0 && options.sample_rate <= 1.0);
     const Timer timer;
 
-    // One filter per run, shared by the packed-trace pre-filter and the
-    // x-vector stack passes; the analytic streaming terms below stay
+    // One filter per run, shared by the trace replay and the x-vector
+    // stack passes; the analytic streaming terms below stay
     // exact — sampling only approximates the reuse-distance part. An
     // armed `reuse.sample` fault degrades the run to exact computation.
     const SampleFilter filter =
@@ -153,92 +153,57 @@ ModelResult run_method_b_impl(const BasicCsrView<Idx>& m,
     const TraceConfig trace_cfg{options.threads, options.partition,
                                 options.quantum};
     const std::int64_t jobs = detail::resolve_model_jobs(options.jobs);
-    const std::int64_t effective_jobs =
-        std::max<std::int64_t>(1, std::min(jobs, segments));
     const auto segment_lengths =
         spmv_segment_lengths(m, trace_cfg, machine.cores_per_numa);
-    const std::uint64_t shard_budget =
-        detail::resolve_trace_buffer_bytes(options.trace_buffer_bytes) /
-        static_cast<std::uint64_t>(effective_jobs);
     std::vector<ShardStats> shard_stats(static_cast<std::size_t>(segments));
     detail::for_each_shard(segments, jobs, [&](std::int64_t g) {
         const Timer shard_timer;
-        auto& st = shard_stats[static_cast<std::size_t>(g)];
+        const auto seg = static_cast<std::size_t>(g);
+        auto& st = shard_stats[seg];
         const std::int64_t t_begin = g * machine.cores_per_numa;
         const std::int64_t t_count =
             std::min(options.threads, t_begin + machine.cores_per_numa) -
             t_begin;
-        OlkenEngine eng(static_cast<std::size_t>(x_lines_hint));
-        std::vector<OlkenEngine> engL1;
+        // Method (B)'s engines only consume x-vector references: the L2
+        // engine and, per core, an L1 engine. One stack pass serves both
+        // the partitioned and unpartitioned L2 counters.
+        using Feed = detail::EngineFeed<OlkenEngine>;
+        Feed x_feed{OlkenEngine(static_cast<std::size_t>(x_lines_hint))};
+        std::vector<Feed> l1_feeds;
         if (options.predict_l1) {
-            engL1.reserve(static_cast<std::size_t>(t_count));
+            l1_feeds.reserve(static_cast<std::size_t>(t_count));
             for (std::int64_t c = 0; c < t_count; ++c)
-                engL1.emplace_back(detail::kL1EngineLinesHint);
+                l1_feeds.emplace_back(OlkenEngine(detail::kL1EngineLinesHint));
         }
-        auto& cnt_p = *cntP[static_cast<std::size_t>(g)];
-        auto& cnt_u = *cntU[static_cast<std::size_t>(g)];
-
-        const std::optional<std::vector<std::uint64_t>> packed =
-            detail::pack_segment_within_budget(
-                m, layout, trace_cfg, machine.cores_per_numa, g,
-                segment_lengths[static_cast<std::size_t>(g)], shard_budget,
-                filter);
-        st.packed_replay = packed.has_value();
-
-        // Method (B)'s engines only consume x-vector references: each
-        // chunk gathers those per owner (L2 engine + per-core L1 engines)
-        // and runs them through access_batch. Counters accumulate, so
-        // record order is free.
-        std::vector<std::uint64_t> lines_x, dist_x;
-        std::vector<std::vector<std::uint64_t>> linesL1(engL1.size()),
-            distL1(engL1.size());
-        std::uint64_t refs = 0;  // demand references in the chunk
-        bool counting = false;
-        const auto gather = [&](std::uint64_t line, DataObject object,
-                                std::uint32_t thread) {
-            ++refs;
-            if (object != DataObject::X) return;
-            lines_x.push_back(line);
-            if (!engL1.empty())
-                linesL1[static_cast<std::size_t>(
-                            static_cast<std::int64_t>(thread) - t_begin)]
-                    .push_back(line);
+        const auto record_l2 = [&](std::uint64_t d, bool) {
+            const std::uint64_t ds = filter.scale_distance(d);
+            cntP[seg]->record(ds);
+            cntU[seg]->record(ds);
         };
-        const auto flush = [&] {
-            dist_x.resize(lines_x.size());
-            eng.access_batch(lines_x.data(), dist_x.data(), lines_x.size());
-            for (std::size_t t = 0; t < engL1.size(); ++t) {
-                distL1[t].resize(linesL1[t].size());
-                engL1[t].access_batch(linesL1[t].data(), distL1[t].data(),
-                                      linesL1[t].size());
-            }
-            if (counting) {
-                st.references += refs;
-                for (const std::uint64_t d : dist_x) {
-                    const std::uint64_t ds = filter.scale_distance(d);
-                    cnt_p.record(ds);
-                    cnt_u.record(ds);
-                }
-                for (const auto& dists : distL1)
-                    for (const std::uint64_t d : dists)
-                        cntL1[static_cast<std::size_t>(g)]->record(
-                            filter.scale_distance(d));
-            }
-            refs = 0;
-            lines_x.clear();
-            for (auto& v : linesL1) v.clear();
+        const auto record_l1 = [&](std::uint64_t d, bool) {
+            cntL1[seg]->record(filter.scale_distance(d));
         };
-        for (const bool pass : {false, true}) {  // warm-up, then measured
-            counting = pass;
-            detail::replay_segment_pass(packed, m, layout, trace_cfg,
-                                        machine.cores_per_numa, g, filter,
-                                        gather, flush);
-        }
-        // The passes counted the kept references only; under sampling the
+        detail::replay_segment_pass(
+            m, layout, trace_cfg, machine.cores_per_numa, g, filter,
+            [&](std::uint64_t line, DataObject object, std::uint32_t thread) {
+                ++st.references;
+                if (object != DataObject::X) return;
+                x_feed.add(line, true);
+                if (!l1_feeds.empty())
+                    l1_feeds[static_cast<std::size_t>(
+                                 static_cast<std::int64_t>(thread) - t_begin)]
+                        .add(line, true);
+            },
+            [&] {
+                x_feed.flush(record_l2);
+                for (Feed& feed : l1_feeds) feed.flush(record_l1);
+            });
+        x_feed.finish(record_l2);
+        for (Feed& feed : l1_feeds) feed.finish(record_l1);
+        // The pass counted the kept references only; under sampling the
         // full demand count comes from the segment lengths.
         st.sampled_refs = st.references;
-        if (!filter.exact())
-            st.references = segment_lengths[static_cast<std::size_t>(g)];
+        if (!filter.exact()) st.references = segment_lengths[seg];
         st.segment = g;
         st.threads = t_count;
         st.seconds = shard_timer.seconds();

@@ -12,10 +12,6 @@
 
 namespace spmvcache {
 
-/// Sentinel for ModelOptions::trace_buffer_bytes: resolve the packed-trace
-/// budget from physical RAM at run time.
-inline constexpr std::uint64_t kTraceBufferAuto = ~std::uint64_t{0};
-
 /// Options for a model run.
 struct ModelOptions {
     /// Machine geometry consulted for line size, cache capacities and the
@@ -32,25 +28,13 @@ struct ModelOptions {
     PartitionPolicy partition = PartitionPolicy::BalancedRows;
     /// Interleave granularity in nonzeros (see TraceConfig::quantum).
     std::int64_t quantum = 1;
-    /// Engine group capacity when a Kim engine is used (method variants).
-    std::uint64_t kim_group_capacity = 512;
     /// Host worker threads for the model's stack passes. The model is
-    /// sharded by L2 segment (each shard re-derives only its segment's
+    /// sharded by L2 segment (each shard derives only its segment's
     /// slice of the interleaved trace), so up to one worker per active
     /// segment is useful. 0 = one worker per hardware thread; 1 = serial.
     /// Predictions are bit-identical for every value — see DESIGN.md
     /// "Sharded host-parallel model execution".
     std::int64_t jobs = 0;
-    /// Packed-trace replay budget in bytes, shared by the shards that can
-    /// run concurrently: a shard packs its segment trace (8 bytes per
-    /// reference, derived once, replayed for both passes) when it fits
-    /// budget / min(jobs, segments), and falls back to streaming
-    /// re-derivation otherwise — so arbitrarily large matrices still run.
-    /// kTraceBufferAuto (default) resolves to 1/8 of physical RAM clamped
-    /// to [64 MiB, 8 GiB]; 0 forces streaming everywhere. Predictions are
-    /// bit-identical either way (differential-tested); the knob trades
-    /// memory for trace-derivation throughput only. CLI: --trace-buffer.
-    std::uint64_t trace_buffer_bytes = kTraceBufferAuto;
     /// SHARDS spatial-sampling rate R in (0, 1]. 1 (default) is the exact
     /// model — bit-identical to every pre-sampling prediction. R < 1
     /// processes only references whose line hashes below R·2⁶⁴
@@ -107,9 +91,9 @@ struct ShardStats {
     /// slice of the derived trace; shards sum to spmv_trace_length).
     std::uint64_t references = 0;
     double seconds = 0.0;          ///< wall-clock of this shard's stack pass
-    /// True when the shard buffered its whole segment trace; false when
-    /// each pass re-derived it in chunks (budget exceeded,
-    /// --trace-buffer 0, or packing failed).
+    /// Always false: a shard streams its segment trace once and never
+    /// buffers it. Kept because the repository benchmark
+    /// (perfbench/src/predict.cpp) still reads it.
     bool packed_replay = false;
     /// References that survived the sampling filter and reached the
     /// engines (== references when the run was exact).

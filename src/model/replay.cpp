@@ -1,75 +1,13 @@
 #include "model/replay.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
-#include <algorithm>
-
-#include "model/options.hpp"
-#include "trace/packed_trace.hpp"
 #include "util/fault.hpp"
 
 namespace spmvcache::detail {
 
-namespace {
-constexpr std::uint64_t kMiB = std::uint64_t{1} << 20;
-constexpr std::uint64_t kAutoFallback = 256 * kMiB;
-constexpr std::uint64_t kAutoMin = 64 * kMiB;
-constexpr std::uint64_t kAutoMax = std::uint64_t{8} << 30;
-}  // namespace
-
-std::uint64_t resolve_trace_buffer_bytes(std::uint64_t requested) noexcept {
-    if (requested != kTraceBufferAuto) return requested;
-    std::uint64_t physical = 0;
-#if defined(_SC_PHYS_PAGES) && defined(_SC_PAGE_SIZE)
-    const long pages = sysconf(_SC_PHYS_PAGES);
-    const long page_bytes = sysconf(_SC_PAGE_SIZE);
-    if (pages > 0 && page_bytes > 0)
-        physical = static_cast<std::uint64_t>(pages) *
-                   static_cast<std::uint64_t>(page_bytes);
-#endif
-    if (physical == 0) return kAutoFallback;
-    return std::min(kAutoMax, std::max(kAutoMin, physical / 8));
-}
-
-template <class Idx>
-std::optional<std::vector<std::uint64_t>> pack_segment_within_budget(
-    const BasicCsrView<Idx>& m, const SpmvLayout& layout,
-    const TraceConfig& cfg, std::int64_t cores_per_numa, std::int64_t segment,
-    std::uint64_t demand_refs, std::uint64_t budget_bytes,
-    const SampleFilter& filter) {
-    // Expected packed words: all demand refs when exact, ~R of them (with
-    // headroom for hash-subset variance) when sampling.
-    const std::uint64_t expected_words =
-        filter.exact()
-            ? demand_refs
-            : static_cast<std::uint64_t>(
-                  static_cast<double>(demand_refs) * filter.rate() * 1.25) +
-                  1024;
-    if (expected_words > budget_bytes / sizeof(std::uint64_t))
-        return std::nullopt;
-    Result<std::vector<std::uint64_t>> packed = try_pack_spmv_trace_segment(
-        m, layout, cfg, cores_per_numa, segment, filter);
-    if (!packed.ok()) return std::nullopt;
-    return std::move(packed).value();
-}
-
-template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx32>(const BasicCsrView<Idx32>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
-template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx64>(const BasicCsrView<Idx64>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
-
 SampleFilter resolve_sample_filter(double sample_rate) {
     if (sample_rate >= 1.0) return SampleFilter{};
-    // Armed `reuse.sample` degrades the run to exact computation — the
-    // same never-wrong-only-slower contract as the packing fallback.
+    // Armed `reuse.sample` degrades the run to exact computation: slower,
+    // never wrong.
     if (fault::should_fail("reuse.sample")) return SampleFilter{};
     return SampleFilter(sample_rate);
 }

@@ -1,27 +1,29 @@
 // Segment replay shared by methods (A) and (B).
 //
-// Each model shard runs its segment's slice of the interleaved trace
-// through its engines twice (warm-up + counted pass), always on one batch
-// path: the demand references are gathered into chunks of kReplayBatch,
-// each chunk feeds the engines' access_batch, and the distances are
-// recorded. Only the source of a pass differs. When the segment fits its
-// share of the ModelOptions::trace_buffer_bytes budget, the shard derives
-// it once into a packed buffer (trace/packed_trace.hpp) and both passes
-// scan that buffer. Otherwise (budget of 0, oversized segment, unpackable
-// reference, allocation failure, armed `trace.pack` fault) each pass
-// re-derives the trace in chunks. Both sources hand the same references
-// to the same chunk code, so predictions are bit-identical.
+// The paper prices the steady-state iteration: the misses of a counted
+// SpMV iteration that follows a warm-up iteration over the same trace.
+// Each model shard derives its segment's slice of the interleaved trace
+// once, in chunks of kReplayBatch demand references, and feeds every
+// chunk to its engines' access_batch (one warm-up pass). The counted pass
+// is not run: it replays the same stream, so each reference whose
+// previous access lies in the same pass gets the same distance again, and
+// only the first touch of each line differs — its warm-up distance is ∞,
+// its counted distance the wrap-around distance that
+// OlkenEngine::wrap_distances derives from the end of the pass (DESIGN.md
+// §10.4). EngineFeed records the finite distances as they arrive, keeps
+// the first touches, and records their wrap-around distances once the
+// pass is over. The counters are histograms, so the order of records does
+// not matter and the totals equal those of a two-pass replay.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
+#include "reuse/engine.hpp"
 #include "sparse/csr_view.hpp"
 #include "trace/layout.hpp"
-#include "trace/packed_trace.hpp"
 #include "trace/sample.hpp"
 #include "trace/spmv_trace.hpp"
 
@@ -35,86 +37,71 @@ inline constexpr std::size_t kReplayBatch = 1024;
 /// Resolves ModelOptions::sample_rate into the filter every shard of the
 /// run shares. R = 1 yields the exact filter; so does an armed
 /// `reuse.sample` fault — sampling failure degrades to exact computation
-/// (slower, never wrong), mirroring how a packing failure degrades to
-/// streaming. Callers detect degradation via filter.exact().
+/// (slower, never wrong). Callers detect degradation via filter.exact().
 [[nodiscard]] SampleFilter resolve_sample_filter(double sample_rate);
 
-/// Resolves ModelOptions::trace_buffer_bytes: kTraceBufferAuto becomes
-/// 1/8 of physical RAM clamped to [64 MiB, 8 GiB] (256 MiB when the host
-/// cannot report its memory); any other value passes through.
-[[nodiscard]] std::uint64_t resolve_trace_buffer_bytes(
-    std::uint64_t requested) noexcept;
+/// One engine and what a shard's replay feeds it: the current chunk's
+/// lines with their x-vector flags, and the first touches of the pass so
+/// far. flush() hands sink(distance, is_x) every finite distance of the
+/// chunk; finish() hands it the counted-pass distance of every first
+/// touch. Together they see exactly the counted pass's distances.
+template <class Engine>
+class EngineFeed {
+public:
+    explicit EngineFeed(Engine engine) : engine_(std::move(engine)) {}
 
-/// Packs segment `segment`'s trace iff its expected packed size fits
-/// `budget_bytes` (8 bytes per reference; under sampling only ~R of the
-/// `demand_refs` survive the filter, so the budget check scales
-/// accordingly and larger segments stay packable). Empty optional = every
-/// pass re-derives the trace (over budget, packing fault, allocation
-/// failure, or a reference outside the packed encoding).
-template <class Idx>
-[[nodiscard]] std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget(const BasicCsrView<Idx>& m,
-                           const SpmvLayout& layout, const TraceConfig& cfg,
-                           std::int64_t cores_per_numa, std::int64_t segment,
-                           std::uint64_t demand_refs,
-                           std::uint64_t budget_bytes,
-                           const SampleFilter& filter = SampleFilter{});
+    void add(std::uint64_t line, bool is_x) {
+        lines_.push_back(line);
+        is_x_.push_back(is_x ? 1 : 0);
+    }
 
-extern template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx32>(const BasicCsrView<Idx32>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
-extern template std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget<Idx64>(const BasicCsrView<Idx64>&,
-                                  const SpmvLayout&, const TraceConfig&,
-                                  std::int64_t, std::int64_t, std::uint64_t,
-                                  std::uint64_t, const SampleFilter&);
+    /// References added since the last flush.
+    [[nodiscard]] std::size_t pending() const noexcept {
+        return lines_.size();
+    }
 
-// Owning-matrix convenience (deduction cannot see through the implicit
-// matrix -> view conversion).
-template <class Idx>
-[[nodiscard]] std::optional<std::vector<std::uint64_t>>
-pack_segment_within_budget(const BasicCsrMatrix<Idx>& m,
-                           const SpmvLayout& layout, const TraceConfig& cfg,
-                           std::int64_t cores_per_numa, std::int64_t segment,
-                           std::uint64_t demand_refs,
-                           std::uint64_t budget_bytes,
-                           const SampleFilter& filter = SampleFilter{}) {
-    return pack_segment_within_budget(BasicCsrView<Idx>(m), layout, cfg,
-                                      cores_per_numa, segment, demand_refs,
-                                      budget_bytes, filter);
-}
+    /// Runs the chunk through access_batch and empties it.
+    template <class Sink>
+    void flush(Sink&& sink) {
+        dists_.resize(lines_.size());
+        engine_.access_batch(lines_.data(), dists_.data(), lines_.size());
+        for (std::size_t i = 0; i < lines_.size(); ++i) {
+            if (dists_[i] == kInfiniteDistance) {
+                first_lines_.push_back(lines_[i]);
+                first_is_x_.push_back(is_x_[i]);
+            } else {
+                sink(dists_[i], is_x_[i] != 0);
+            }
+        }
+        lines_.clear();
+        is_x_.clear();
+    }
+
+    /// After the last flush: records the first touches' wrap-around
+    /// distances.
+    template <class Sink>
+    void finish(Sink&& sink) {
+        dists_.resize(first_lines_.size());
+        engine_.wrap_distances(first_lines_.data(), dists_.data(),
+                               first_lines_.size());
+        for (std::size_t i = 0; i < first_lines_.size(); ++i)
+            sink(dists_[i], first_is_x_[i] != 0);
+    }
+
+private:
+    Engine engine_;
+    std::vector<std::uint64_t> lines_, dists_, first_lines_;
+    std::vector<unsigned char> is_x_, first_is_x_;
+};
 
 /// One pass over segment `segment`'s demand references in trace order:
 /// gather(line, object, thread) per reference the filter keeps, then
-/// flush() after every chunk of at most kReplayBatch references. Scans
-/// `packed` when it holds the segment's buffer (already filtered at
-/// packing time); otherwise re-derives the segment trace and applies
-/// `filter` here.
+/// flush() after every chunk of at most kReplayBatch references.
 template <class Idx, class Gather, class Flush>
-void replay_segment_pass(
-    const std::optional<std::vector<std::uint64_t>>& packed,
-    const BasicCsrView<Idx>& m, const SpmvLayout& layout,
-    const TraceConfig& cfg, std::int64_t cores_per_numa,
-    std::int64_t segment, const SampleFilter& filter, Gather&& gather,
-    Flush&& flush) {
-    if (packed.has_value()) {
-        const std::vector<std::uint64_t>& buffer = *packed;
-        for (std::size_t begin = 0; begin < buffer.size();
-             begin += kReplayBatch) {
-            const std::size_t end =
-                std::min(buffer.size(), begin + kReplayBatch);
-            for (std::size_t i = begin; i < end; ++i) {
-                const std::uint64_t word = buffer[i];
-                if (packed_is_prefetch(word)) continue;  // demand only
-                gather(packed_line(word), packed_object(word),
-                       packed_thread(word));
-            }
-            flush();
-        }
-        return;
-    }
+void replay_segment_pass(const BasicCsrView<Idx>& m, const SpmvLayout& layout,
+                         const TraceConfig& cfg, std::int64_t cores_per_numa,
+                         std::int64_t segment, const SampleFilter& filter,
+                         Gather&& gather, Flush&& flush) {
     std::size_t pending = 0;
     generate_spmv_trace_segment(
         m, layout, cfg, cores_per_numa, segment, [&](const MemRef& ref) {

@@ -17,7 +17,7 @@
 namespace spmvcache::detail {
 
 /// Expected-lines hint for each per-core L1 engine. Purely a presizing
-/// hint (see OlkenEngine/KimEngine): it never changes a distance.
+/// hint (see OlkenEngine): it never changes a distance.
 inline constexpr std::size_t kL1EngineLinesHint = 4096;
 
 /// Resolves ModelOptions::jobs: 0 means one worker per hardware thread.

@@ -6,19 +6,19 @@
 // paper, an access misses in a fully associative LRU cache of n lines iff
 // its reuse distance is >= n.
 //
-// Three plain classes share one duck-typed contract — access(line),
-// clear(), distinct_lines(); the fast two add access_batch(lines, dists,
-// n), bit-identical to n in-order access() calls:
+// Two plain classes share one duck-typed contract — access(line),
+// clear(), distinct_lines():
 //  * NaiveStackEngine — O(distance) list walk; the executable definition,
-//    used to cross-check the others in tests.
+//    used to cross-check the other in tests.
 //  * OlkenEngine — exact, O(log n) per access: an alive bit per access
 //    time under a Fenwick tree over the bitset's 64-bit words, compacted
-//    by in-place rank renumbering; the workhorse used by the model.
-//  * KimEngine — the grouped-stack scheme of Kim et al. [SIGMETRICS'91]
-//    that the paper uses: approximate distances at group granularity with
-//    per-access cost independent of the locality of the trace.
-// The model's shard bodies are templated on the concrete engine, so no
-// access pays a virtual dispatch.
+//    by in-place rank renumbering; the engine the model runs. It adds
+//    access_batch(lines, dists, n), bit-identical to n in-order access()
+//    calls, and wrap_distances(), which derives a replay's first-touch
+//    distances from the end of one pass.
+// The paper's engine, the grouped stack of Kim et al. [SIGMETRICS'91], is
+// approximate; exact Olken is faster here (DESIGN.md §10.2), so it is the
+// only one. SampledEngine<E> (reuse/sampled.hpp) adds SHARDS sampling.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "util/error.hpp"
 #include "util/fault.hpp"
 
 namespace spmvcache {
@@ -92,13 +93,29 @@ void OlkenEngine::access_batch(const std::uint64_t* lines,
     }
 }
 
-bool OlkenEngine::evict(std::uint64_t line) {
-    const std::uint64_t* prev = last_access_.find(line);
-    if (!prev) return false;
-    unmark(*prev);
-    last_access_.erase(line);
-    --alive_;
-    return true;
+void OlkenEngine::wrap_distances(const std::uint64_t* lines,
+                                 std::uint64_t* dists, std::size_t n) const {
+    SPMV_EXPECTS(n == distinct_lines());
+    // Ranks of the earlier first touches' last accesses: one bit per rank
+    // under a word-level Fenwick tree, as in the timestamp index.
+    const std::size_t words = (n + kWordBits - 1) / kWordBits;
+    std::vector<std::uint64_t> seen(words, 0);
+    std::vector<std::uint32_t> tree(words + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + kPrefetchAhead < n)
+            last_access_.prefetch(lines[i + kPrefetchAhead]);
+        const std::uint64_t* last = last_access_.find(lines[i]);
+        SPMV_EXPECTS(last != nullptr);
+        const std::uint64_t rank = marks_through(*last) - 1;
+        const auto word = static_cast<std::size_t>(rank / kWordBits);
+        const std::uint64_t bit = std::uint64_t{1} << (rank % kWordBits);
+        std::uint64_t earlier = static_cast<std::uint64_t>(
+            std::popcount(seen[word] & (bit - 1)));
+        for (std::size_t k = word; k > 0; k -= k & (~k + 1)) earlier += tree[k];
+        dists[i] = (n - 1 - rank) + earlier;
+        seen[word] |= bit;
+        for (std::size_t k = word + 1; k <= words; k += k & (~k + 1)) ++tree[k];
+    }
 }
 
 void OlkenEngine::reset_index(std::size_t slots) {

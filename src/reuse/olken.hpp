@@ -15,6 +15,11 @@
 // ones and the tree in O(words). A compaction runs after at least
 // slots/2 accesses and costs O(map capacity + words), so it is amortised
 // O(1) per access.
+//
+// wrap_distances() turns the end state of one pass into the distances of
+// the first touches of a replay of the same stream (the model's counted
+// iteration), so a warm-up + counted pair costs one pass plus an
+// O(D log D) sweep over the D distinct lines.
 #pragma once
 
 #include <cstdint>
@@ -54,17 +59,20 @@ public:
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
-    /// Removes `line`'s history (SHARDS eviction when the sampling rate
-    /// is lowered); returns whether the line was tracked. Subsequent
-    /// distances behave as if the line had never been accessed.
-    bool evict(std::uint64_t line);
-
-    /// Calls fn(line) for every tracked line (arbitrary order).
-    template <class Fn>
-    void for_each_line(Fn&& fn) const {
-        last_access_.for_each(
-            [&](std::uint64_t line, std::uint64_t) { fn(line); });
-    }
+    /// Counted-pass distances of the first touches, from the end of one
+    /// pass over a stream. `lines` holds the stream's distinct lines in
+    /// first-touch order (the accesses that returned kInfiniteDistance);
+    /// dists[i] receives the distance lines[i] gets when the same stream
+    /// is replayed once more: the distinct lines accessed after its last
+    /// access plus those first touched before it,
+    ///   (D - 1 - r_i) + #{j < i : r_j < r_i},
+    /// where r is the rank of a line's last access among the D tracked
+    /// lines. Every other access of the replay repeats its first-pass
+    /// distance, so the finite first-pass distances plus these give the
+    /// replay's histogram without running it. One sweep with a Fenwick
+    /// tree over the ranks: O(D log D). Pre: n == distinct_lines().
+    void wrap_distances(const std::uint64_t* lines, std::uint64_t* dists,
+                        std::size_t n) const;
 
     /// Report-only: access_batch's lookahead depth (kPrefetchAhead).
     [[nodiscard]] static std::size_t interleave_width() {

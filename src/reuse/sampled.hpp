@@ -10,10 +10,10 @@
 // an exact filter (R = 1) every call forwards untouched — results are
 // bit-identical to the bare engine.
 //
-// lower_rate() implements SHARDS rate adaptation: the filter tightens
-// and, when the wrapped engine supports eviction (Olken and Kim both
-// do), every tracked line the tighter filter rejects is evicted — as if
-// the engine had run at the lower rate from the start.
+// The filter keeps or drops a line the same way on every pass, so a
+// replay of the sampled stream repeats the kept subsequence: the wrapped
+// engine's wrap_distances() applies to it unchanged and is forwarded with
+// the same scaling.
 #pragma once
 
 #include <cmath>
@@ -22,7 +22,6 @@
 
 #include "reuse/engine.hpp"
 #include "trace/sample.hpp"
-#include "util/error.hpp"
 
 namespace spmvcache {
 
@@ -30,14 +29,6 @@ namespace spmvcache {
 /// must not record it. Distinct from kInfiniteDistance (a sampled cold
 /// miss), which *is* recorded.
 inline constexpr std::uint64_t kSkippedDistance = ~std::uint64_t{0} - 1;
-
-/// Engines that support SHARDS eviction: removing one line's history so
-/// a lowered rate R' < R can discard lines with hash >= R'·2⁶⁴.
-template <class E>
-concept EvictableEngine = requires(E e, const E ce, std::uint64_t line) {
-    { e.evict(line) } -> std::convertible_to<bool>;
-    ce.for_each_line([](std::uint64_t) {});
-};
 
 /// Adapter running any concrete engine on the sampled subtrace.
 template <class E>
@@ -97,19 +88,14 @@ public:
             dists[scratch_index_[k]] = filter_.scale_distance(scratch_dists_[k]);
     }
 
-    /// SHARDS rate lowering: tightens the filter to `new_rate` and, when
-    /// the wrapped engine supports eviction, removes every tracked line
-    /// that the tighter filter rejects. Pre: 0 < new_rate <= current rate.
-    void lower_rate(double new_rate) {
-        SPMV_EXPECTS(new_rate > 0.0 && new_rate <= filter_.rate());
-        filter_ = SampleFilter(new_rate);
-        if constexpr (EvictableEngine<E>) {
-            std::vector<std::uint64_t> evicted;
-            engine_.for_each_line([&](std::uint64_t line) {
-                if (!filter_.keep(line)) evicted.push_back(line);
-            });
-            for (const std::uint64_t line : evicted) engine_.evict(line);
-        }
+    /// The wrapped engine's wrap_distances() over the kept first touches
+    /// (those access/access_batch reported as kInfiniteDistance), scaled
+    /// to full-trace estimates like every other distance.
+    void wrap_distances(const std::uint64_t* lines, std::uint64_t* dists,
+                        std::size_t n) const {
+        engine_.wrap_distances(lines, dists, n);
+        for (std::size_t i = 0; i < n; ++i)
+            dists[i] = filter_.scale_distance(dists[i]);
     }
 
     [[nodiscard]] const SampleFilter& filter() const noexcept {

@@ -1,3 +1,4 @@
+// Kept for the repository benchmark only; see packed_trace.hpp.
 #include "trace/packed_trace.hpp"
 
 #include <new>

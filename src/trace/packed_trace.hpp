@@ -1,11 +1,11 @@
 // Packed trace: one uint64 per memory reference.
 //
-// The model replays every segment trace twice (warm-up + counted pass).
-// Deriving it through the per-MemRef callback twice costs two passes of
-// cursor machinery and callback dispatch per reference; packing the
-// derivation once into a flat buffer of bit-packed words turns the second
-// (and every further) pass into a linear scan the reuse engines can consume
-// in batches. The encoding is lossless for every trace this repo derives:
+// No model path uses it: a model shard streams its segment trace once
+// (model/replay.hpp), so nothing is replayed from a buffer. The encoding
+// stays because the repository benchmark (perfbench/src/predict.cpp)
+// compiles against it and times it as a trace-layer probe. It packs a
+// segment's derivation into a flat buffer of bit-packed words, lossless
+// for every trace this repo derives:
 //
 //   bits [0, 48)   cache-line number   (48 bits — 2^48 lines of 256 B
 //                                       is 64 PiB of addressed data)
@@ -16,9 +16,7 @@
 //
 // A reference outside those ranges (or an armed `trace.pack` fault, or an
 // allocation failure at packing time) makes try_pack_spmv_trace_segment
-// return a typed error, and the model re-derives the trace on every pass
-// instead — packing is a throughput optimisation, never a correctness
-// dependency.
+// return a typed error.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,13 @@
 // Packed trace encoding: lossless pack/unpack, elementwise equivalence
-// with the streaming segment derivation, and the typed-error paths that
-// select the model's streaming fallback.
+// with the streaming segment derivation, and the typed-error paths.
 #include "trace/packed_trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "model/options.hpp"
-#include "model/replay.hpp"
 #include "sparse/gen/banded.hpp"
+#include "trace/spmv_trace.hpp"
 #include "util/fault.hpp"
 
 namespace spmvcache {
@@ -94,45 +92,6 @@ TEST(PackedTrace, ArmedFaultYieldsTypedErrorNotAValue) {
         m, layout, TraceConfig{1}, /*cores_per_numa=*/12, /*segment=*/0);
     ASSERT_FALSE(packed.ok());
     EXPECT_EQ(packed.error().code, ErrorCode::FaultInjected);
-}
-
-TEST(ReplayBudget, ExplicitValuesPassThroughAndAutoIsClamped) {
-    EXPECT_EQ(detail::resolve_trace_buffer_bytes(0), 0u);
-    EXPECT_EQ(detail::resolve_trace_buffer_bytes(12345), 12345u);
-    const std::uint64_t resolved =
-        detail::resolve_trace_buffer_bytes(kTraceBufferAuto);
-    EXPECT_GE(resolved, std::uint64_t{64} << 20);
-    EXPECT_LE(resolved, std::uint64_t{8} << 30);
-}
-
-TEST(ReplayBudget, PackDecisionFollowsTheBudget) {
-    const CsrMatrix m = gen::banded(200, 5, 15, 9);
-    const SpmvLayout layout(m, 256);
-    TraceConfig cfg;
-    cfg.threads = 1;
-    const auto lengths = spmv_segment_lengths(m, cfg, 12);
-    const std::uint64_t refs = lengths[0];
-
-    // Exactly enough bytes: packs.
-    const auto fits = detail::pack_segment_within_budget(
-        m, layout, cfg, 12, 0, refs, refs * 8);
-    ASSERT_TRUE(fits.has_value());
-    EXPECT_EQ(fits->size(), refs);
-
-    // One reference short: streams.
-    EXPECT_FALSE(detail::pack_segment_within_budget(m, layout, cfg, 12, 0,
-                                                    refs, refs * 8 - 1)
-                     .has_value());
-    // Zero budget (--trace-buffer 0): streams.
-    EXPECT_FALSE(
-        detail::pack_segment_within_budget(m, layout, cfg, 12, 0, refs, 0)
-            .has_value());
-
-    // Armed packing fault: streams even though the budget fits.
-    fault::ScopedFault f("trace.pack");
-    EXPECT_FALSE(detail::pack_segment_within_budget(m, layout, cfg, 12, 0,
-                                                    refs, refs * 8)
-                     .has_value());
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Unit and property tests for the reuse-distance engines and miss
-// counters: the naive stack is the executable definition; Olken must agree
-// with it exactly, Kim approximately at group granularity.
+// counters: the naive stack is the executable definition and Olken must
+// agree with it exactly, including the replay distances wrap_distances()
+// derives from the end of one pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "reuse/flat_map.hpp"
 #include "reuse/histogram.hpp"
-#include "reuse/kim.hpp"
 #include "reuse/naive.hpp"
 #include "reuse/olken.hpp"
+#include "reuse/sampled.hpp"
 #include "util/prng.hpp"
 
 namespace spmvcache {
@@ -131,92 +134,6 @@ TEST(Olken, BatchMatchesSerialAcrossCompaction) {
     expect_batch_matches_serial<OlkenEngine>(std::size_t{16});
 }
 
-TEST(Kim, BatchMatchesSerialForEveryChunking) {
-    expect_batch_matches_serial<KimEngine>(std::uint64_t{64});
-}
-
-TEST(Kim, BatchMatchesSerialWithWideGroups) {
-    expect_batch_matches_serial<KimEngine>(std::uint64_t{1} << 16);
-}
-
-TEST(Olken, EvictedLineBehavesAsNeverAccessed) {
-    // Differential: engine A accesses a probe line and immediately evicts
-    // it; engine B never sees the probe. With no accesses between the
-    // probe's insert and evict, the two engines' trees are isomorphic, so
-    // every later distance must match — eviction fully unwinds the insert.
-    OlkenEngine with_evict;
-    OlkenEngine without;
-    Xoshiro256 rng(77);
-    for (int round = 0; round < 20000; ++round) {
-        if (rng.uniform() < 0.25) {
-            const std::uint64_t probe = 1u << 20;  // outside the common set
-            (void)with_evict.access(probe);
-            ASSERT_TRUE(with_evict.evict(probe));
-        }
-        const std::uint64_t line = rng.uniform() < 0.6
-                                       ? rng.bounded(96)
-                                       : rng.bounded(20000) + 96;
-        ASSERT_EQ(with_evict.access(line), without.access(line))
-            << "round " << round;
-    }
-    EXPECT_EQ(with_evict.distinct_lines(), without.distinct_lines());
-}
-
-TEST(Olken, EvictBasics) {
-    OlkenEngine e;
-    EXPECT_FALSE(e.evict(5));  // unknown line
-    e.access(5);
-    e.access(6);
-    EXPECT_EQ(e.distinct_lines(), 2u);
-    EXPECT_TRUE(e.evict(5));
-    EXPECT_EQ(e.distinct_lines(), 1u);
-    EXPECT_FALSE(e.evict(5));                      // already gone
-    EXPECT_EQ(e.access(5), kInfiniteDistance);     // cold again
-    EXPECT_EQ(e.access(6), 1u);                    // 5 re-inserted above it
-}
-
-TEST(Kim, EvictBasics) {
-    KimEngine e(4);
-    for (std::uint64_t line = 0; line < 40; ++line) e.access(line);
-    EXPECT_EQ(e.distinct_lines(), 40u);
-    EXPECT_FALSE(e.evict(999));
-    EXPECT_TRUE(e.evict(17));
-    EXPECT_EQ(e.distinct_lines(), 39u);
-    EXPECT_FALSE(e.evict(17));
-    // An evicted line is cold on re-access.
-    EXPECT_EQ(e.access(17), kInfiniteDistance);
-    EXPECT_EQ(e.distinct_lines(), 40u);
-}
-
-template <class Engine, class... Args>
-void expect_for_each_line_tracks_membership(Args&&... args) {
-    Engine e(args...);
-    for (std::uint64_t line = 0; line < 100; ++line) e.access(line);
-    ASSERT_TRUE(e.evict(10));
-    ASSERT_TRUE(e.evict(90));
-    std::vector<bool> seen(100, false);
-    std::size_t count = 0;
-    e.for_each_line([&](std::uint64_t line) {
-        ASSERT_LT(line, 100u);
-        EXPECT_FALSE(seen[line]) << "line " << line << " visited twice";
-        seen[line] = true;
-        ++count;
-    });
-    EXPECT_EQ(count, 98u);
-    EXPECT_FALSE(seen[10]);
-    EXPECT_FALSE(seen[90]);
-    EXPECT_TRUE(seen[0]);
-    EXPECT_TRUE(seen[99]);
-}
-
-TEST(Olken, ForEachLineTracksMembership) {
-    expect_for_each_line_tracks_membership<OlkenEngine>();
-}
-
-TEST(Kim, ForEachLineTracksMembership) {
-    expect_for_each_line_tracks_membership<KimEngine>(std::uint64_t{8});
-}
-
 TEST(Olken, ClearForgetsHistory) {
     OlkenEngine e;
     e.access(1);
@@ -242,36 +159,14 @@ TEST(Olken, ReuseAcrossWordBoundariesMatchesNaive) {
          {199u, 195u, 192u, 191u, 128u, 127u, 64u, 63u, 0u, 127u, 64u, 63u}) {
         ASSERT_EQ(olken.access(line), naive.access(line)) << "line " << line;
     }
-    // Evict the line just below each edge (its latest timestamp is now in
-    // the current word, which the tree does not cover), then sweep the
-    // edge's neighbourhood: a cold re-insert among reuses from complete
-    // words.
+    // Touch a new line, then sweep each edge's neighbourhood: the lines
+    // reused above now have their latest timestamps in the current word,
+    // which the tree does not cover, among reuses from complete words.
+    ASSERT_EQ(olken.access(1000), naive.access(1000));
     for (const std::uint64_t edge : {64u, 128u, 192u}) {
-        ASSERT_EQ(olken.evict(edge - 1), naive.evict(edge - 1));
         for (std::uint64_t line = edge - 3; line < edge + 3; ++line)
             ASSERT_EQ(olken.access(line), naive.access(line))
                 << "edge " << edge << " line " << line;
-    }
-    EXPECT_EQ(olken.distinct_lines(), naive.distinct_lines());
-}
-
-TEST(Olken, EvictionsThenCompactionMatchNaive) {
-    // Evict several lines at a time between accesses of a stream that runs
-    // through several compactions (2^16 initial slots): renumbering must
-    // skip every unmarked timestamp.
-    NaiveStackEngine naive;
-    OlkenEngine olken(16);
-    Xoshiro256 rng(5);
-    for (int i = 0; i < 200000; ++i) {
-        if (i % 5000 == 4999) {
-            for (int k = 0; k < 8; ++k) {
-                const std::uint64_t victim = rng.bounded(400);
-                ASSERT_EQ(olken.evict(victim), naive.evict(victim))
-                    << "step " << i;
-            }
-        }
-        const std::uint64_t line = rng.bounded(400);
-        ASSERT_EQ(olken.access(line), naive.access(line)) << "step " << i;
     }
     EXPECT_EQ(olken.distinct_lines(), naive.distinct_lines());
 }
@@ -327,45 +222,167 @@ TEST(Olken, ClearAfterGrowthMatchesFreshEngine) {
     EXPECT_EQ(grown.distinct_lines(), fresh.distinct_lines());
 }
 
-TEST(Kim, ExactForSmallStacksWithLargeGroups) {
-    // With one group larger than the distinct set, distances collapse to
-    // group-midpoint estimates; with group capacity 1 they are exact.
-    KimEngine kim(1);
+// ---------------------------------------------------------------------------
+// wrap_distances: one pass over a stream plus the wrap-around distances of
+// its first touches must give the distance histogram of a replay of the
+// same stream (the model's counted iteration after its warm-up).
+
+/// Sorted distances of the second pass when `engine` runs stream+stream
+/// access by access.
+template <class Engine>
+std::vector<std::uint64_t> replay_distances(
+    Engine& engine, const std::vector<std::uint64_t>& stream) {
+    for (const std::uint64_t line : stream) (void)engine.access(line);
+    std::vector<std::uint64_t> out;
+    for (const std::uint64_t line : stream) out.push_back(engine.access(line));
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/// Sorted distances of one access_batch pass over `stream`: `engine`'s
+/// finite first-pass distances plus the wrap-around distances of its
+/// first touches. Filtered references (kSkippedDistance) are dropped.
+template <class Engine>
+std::vector<std::uint64_t> one_pass_distances(
+    Engine& engine, const std::vector<std::uint64_t>& stream) {
+    std::vector<std::uint64_t> dists(stream.size());
+    engine.access_batch(stream.data(), dists.data(), stream.size());
+    std::vector<std::uint64_t> first;
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        if (dists[i] == kInfiniteDistance)
+            first.push_back(stream[i]);
+        else if (dists[i] != kSkippedDistance)
+            out.push_back(dists[i]);
+    }
+    std::vector<std::uint64_t> wraps(first.size());
+    engine.wrap_distances(first.data(), wraps.data(), first.size());
+    out.insert(out.end(), wraps.begin(), wraps.end());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/// Sorted distances of a second access_batch pass of the same engine.
+template <class Engine>
+std::vector<std::uint64_t> second_pass_distances(
+    Engine& engine, const std::vector<std::uint64_t>& stream) {
+    std::vector<std::uint64_t> dists(stream.size());
+    engine.access_batch(stream.data(), dists.data(), stream.size());
+    std::erase(dists, kSkippedDistance);
+    std::sort(dists.begin(), dists.end());
+    return dists;
+}
+
+/// Checks one pass + wraps against the naive stack on stream+stream and
+/// against a second pass of the same Olken engine.
+void expect_wrap_matches_replay(const std::vector<std::uint64_t>& stream,
+                                const std::string& label) {
     NaiveStackEngine naive;
-    Xoshiro256 rng(5);
-    for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t line = rng.bounded(50);
-        EXPECT_EQ(kim.access(line), naive.access(line)) << "step " << i;
+    const std::vector<std::uint64_t> expected =
+        replay_distances(naive, stream);
+    OlkenEngine olken(16);
+    ASSERT_EQ(one_pass_distances(olken, stream), expected) << label;
+    ASSERT_EQ(second_pass_distances(olken, stream), expected) << label;
+}
+
+TEST(OlkenWrap, MatchesNaiveReplayOnRandomStreams) {
+    Xoshiro256 rng(31);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::uint64_t length = 1 + rng.bounded(400);
+        const std::uint64_t footprint = 1 + rng.bounded(length);
+        std::vector<std::uint64_t> stream;
+        for (std::uint64_t i = 0; i < length; ++i)
+            stream.push_back(rng.bounded(footprint) * 977);
+        expect_wrap_matches_replay(stream, "trial " + std::to_string(trial));
     }
 }
 
-TEST(Kim, ApproximatesWithinGroupCapacity) {
-    constexpr std::uint64_t kGroup = 64;
-    KimEngine kim(kGroup);
-    NaiveStackEngine naive;
-    Xoshiro256 rng(8);
-    for (int i = 0; i < 30000; ++i) {
-        const std::uint64_t line = rng.bounded(2000);
-        const auto approx = kim.access(line);
-        const auto exact = naive.access(line);
-        if (exact == kInfiniteDistance) {
-            EXPECT_EQ(approx, kInfiniteDistance);
-        } else {
-            // Kim et al.: error bounded by the group capacity.
-            const auto lo = exact >= kGroup ? exact - kGroup : 0;
-            EXPECT_GE(approx, lo) << "step " << i;
-            EXPECT_LE(approx, exact + kGroup) << "step " << i;
-        }
-    }
+TEST(OlkenWrap, MatchesNaiveReplayAcrossCompaction) {
+    // 150k accesses over 128 lines from 2^16 slots: the pass compacts
+    // twice, so the last-access timestamps are ranks plus a tail.
+    Xoshiro256 rng(32);
+    std::vector<std::uint64_t> stream;
+    for (int i = 0; i < 150000; ++i) stream.push_back(rng.bounded(128));
+    expect_wrap_matches_replay(stream, "compacting");
 }
 
-TEST(Kim, GroupChainStaysBounded) {
-    KimEngine kim(128);
-    for (std::uint64_t line = 0; line < 10000; ++line) kim.access(line);
-    // 10000 distinct lines / capacity 128 -> ~79 groups.
-    EXPECT_GE(kim.group_count(), 70u);
-    EXPECT_LE(kim.group_count(), 90u);
-    EXPECT_EQ(kim.distinct_lines(), 10000u);
+TEST(OlkenWrap, MatchesSecondPassThroughSlotGrowth) {
+    // Longer than 2^17 accesses with 150k distinct lines: the slot space
+    // doubles twice mid-pass. The naive replay would walk ~D lines per
+    // first touch, so the second Olken pass (itself checked against the
+    // naive stack by SlotGrowthThroughTwoDoublingsMatchesNaive) is the
+    // oracle here.
+    const std::vector<std::uint64_t> stream = growing_trace(150000, 33);
+    ASSERT_GT(stream.size(), std::size_t{1} << 17);
+    OlkenEngine olken(16);
+    const std::vector<std::uint64_t> one_pass =
+        one_pass_distances(olken, stream);
+    EXPECT_EQ(second_pass_distances(olken, stream), one_pass);
+    EXPECT_EQ(one_pass.size(), stream.size());
+}
+
+TEST(OlkenWrap, SampledEngineMatchesReplayAtFivePercent) {
+    const SampleFilter filter(0.05);
+    Xoshiro256 rng(34);
+    std::vector<std::uint64_t> stream;
+    for (int i = 0; i < 40000; ++i)
+        stream.push_back(rng.uniform() < 0.5 ? rng.bounded(200)
+                                             : rng.bounded(20000));
+    // Naive oracle: the kept subsequence replayed, distances scaled.
+    std::vector<std::uint64_t> kept;
+    for (const std::uint64_t line : stream)
+        if (filter.keep(line)) kept.push_back(line);
+    ASSERT_FALSE(kept.empty());
+    NaiveStackEngine naive;
+    std::vector<std::uint64_t> expected = replay_distances(naive, kept);
+    for (std::uint64_t& d : expected) d = filter.scale_distance(d);
+    std::sort(expected.begin(), expected.end());
+
+    SampledEngine<OlkenEngine> sampled(filter, std::size_t{16});
+    EXPECT_EQ(one_pass_distances(sampled, stream), expected);
+    EXPECT_EQ(second_pass_distances(sampled, stream), expected);
+}
+
+TEST(OlkenWrap, EmptyStreamHasNoDistances) {
+    const OlkenEngine olken;
+    olken.wrap_distances(nullptr, nullptr, 0);
+    expect_wrap_matches_replay({}, "empty");
+}
+
+TEST(OlkenWrap, OneLineStreamWrapsAtDistanceZero) {
+    OlkenEngine olken;
+    (void)olken.access(7);
+    (void)olken.access(7);
+    const std::uint64_t line = 7;
+    std::uint64_t wrap = kInfiniteDistance;
+    olken.wrap_distances(&line, &wrap, 1);
+    EXPECT_EQ(wrap, 0u);
+    expect_wrap_matches_replay({7}, "single access");
+    expect_wrap_matches_replay({7, 7, 7}, "one line");
+}
+
+TEST(OlkenWrap, LinesReusedOnlyAcrossTheWrap) {
+    // Every line is touched once per pass: each replay distance is D - 1.
+    std::vector<std::uint64_t> stream;
+    for (std::uint64_t line = 0; line < 1000; ++line)
+        stream.push_back((line * 7919) % 1000);
+    OlkenEngine olken;
+    const std::vector<std::uint64_t> one_pass =
+        one_pass_distances(olken, stream);
+    EXPECT_EQ(one_pass, std::vector<std::uint64_t>(1000, 999));
+    expect_wrap_matches_replay(stream, "permutation");
+    // Half the lines reused within the pass, half only across the wrap.
+    for (std::uint64_t line = 0; line < 500; ++line) stream.push_back(line);
+    expect_wrap_matches_replay(stream, "mixed");
+}
+
+TEST(OlkenWrap, RejectsAnIncompleteFirstTouchList) {
+    OlkenEngine olken;
+    for (std::uint64_t line = 0; line < 4; ++line) (void)olken.access(line);
+    const std::vector<std::uint64_t> lines = {0, 1, 2};
+    std::vector<std::uint64_t> dists(lines.size());
+    EXPECT_THROW(olken.wrap_distances(lines.data(), dists.data(), 3),
+                 ContractViolation);
 }
 
 TEST(CapacityMissCounter, ExactThresholds) {
@@ -439,15 +456,13 @@ TEST(ReuseHistogram, MissesAtLeastMonotone) {
     EXPECT_NEAR(h.misses_at_least(1u << 21), 0.0, 1e-9);
 }
 
-// Property sweep: all three engines agree (Kim within tolerance) across
-// trace shapes.
+// Property sweep: Olken agrees with the naive stack across trace shapes.
 class EngineAgreement : public testing::TestWithParam<int> {};
 
 TEST_P(EngineAgreement, AllEnginesConsistent) {
     const int shape = GetParam();
     NaiveStackEngine naive;
     OlkenEngine olken;
-    KimEngine kim(32);
     Xoshiro256 rng(1000 + static_cast<std::uint64_t>(shape));
     for (int i = 0; i < 8000; ++i) {
         std::uint64_t line = 0;
@@ -469,15 +484,7 @@ TEST_P(EngineAgreement, AllEnginesConsistent) {
                 line = (static_cast<std::uint64_t>(i) / 64) % 300;
                 break;
         }
-        const auto exact = naive.access(line);
-        EXPECT_EQ(olken.access(line), exact);
-        const auto approx = kim.access(line);
-        if (exact == kInfiniteDistance) {
-            EXPECT_EQ(approx, kInfiniteDistance);
-        } else {
-            EXPECT_LE(approx, exact + 32);
-            EXPECT_GE(approx + 32, exact);
-        }
+        EXPECT_EQ(olken.access(line), naive.access(line));
     }
 }
 

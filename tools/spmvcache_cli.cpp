@@ -82,9 +82,6 @@ using namespace spmvcache;
            "         --jobs J  host workers for the sharded model (0 = all\n"
            "                   hardware threads, 1 = serial; predictions\n"
            "                   are identical for every value)\n"
-           "         --trace-buffer BYTES  packed-trace replay budget\n"
-           "                   (default: 1/8 of host RAM; 0 = always\n"
-           "                   re-derive; predictions are identical)\n"
            "         --approx[=R]  SHARDS-sampled approximate model\n"
            "                   (predict/tune/batch): process only refs\n"
            "                   whose line hashes below R (default 0.01)\n"
@@ -278,8 +275,6 @@ void write_predict_json(std::ostream& out, const ModelResult& result,
             << ", \"threads\": " << shard.threads
             << ", \"references\": " << shard.references
             << ", \"seconds\": " << shard.seconds
-            << ", \"packed_replay\": "
-            << (shard.packed_replay ? "true" : "false")
             << ", \"sampled_refs\": " << shard.sampled_refs << "}"
             << (s + 1 < result.shards.size() ? "," : "") << "\n";
     }
@@ -298,8 +293,6 @@ int cmd_predict(const CliParser& cli) {
     options.machine = a64fx_default();
     options.threads = cli.get_int("threads", 48);
     options.jobs = cli.get_int("jobs", 0);
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.l2_way_options = {2, 3, 4, 5, 6, 7};
     options.timeout_seconds = cli.get_double("timeout", 0.0);
     const Result<double> rate = approx_rate(cli);
@@ -350,9 +343,7 @@ int cmd_predict(const CliParser& cli) {
                   << " threads, "
                   << fmt_count(static_cast<unsigned long long>(
                          shard.references))
-                  << " refs, " << fmt(shard.seconds, 3) << " s"
-                  << (shard.packed_replay ? " (packed)" : " (streamed)")
-                  << "\n";
+                  << " refs, " << fmt(shard.seconds, 3) << " s\n";
 
     const std::string json_path = cli.get("json", "");
     if (!json_path.empty()) {
@@ -416,8 +407,6 @@ int cmd_tune(const CliParser& cli) {
     options.machine = a64fx_default();
     options.threads = cli.get_int("threads", 48);
     options.jobs = cli.get_int("jobs", 0);
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.l2_way_options = {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14};
     options.predict_l1 = false;
     options.timeout_seconds = cli.get_double("timeout", 0.0);
@@ -510,8 +499,6 @@ int cmd_batch(const CliParser& cli) {
     options.run_model = !cli.has("no-model");
     options.threads = cli.get_int("threads", 48);
     options.jobs = cli.get_int("jobs", 0);
-    if (const std::int64_t tb = cli.get_int("trace-buffer", -1); tb >= 0)
-        options.trace_buffer_bytes = static_cast<std::uint64_t>(tb);
     options.timeout_seconds = cli.get_double("timeout", 0.0);
     options.retry_transient = !cli.has("no-retry");
     options.cache_dir = cli.get("cache-dir", "");
