@@ -3,9 +3,10 @@
 // The reuse-distance engines perform one lookup-or-insert per memory
 // reference — hundreds of millions per experiment — which makes
 // std::unordered_map's node allocations the bottleneck. A simple
-// linear-probing table with a reserved empty key suffices: entries are
-// never removed (only clear() empties the table), so a lookup is one
-// linear scan to the key or the first empty slot.
+// linear-probing table with a reserved empty key suffices; erase uses
+// tombstone-free backward-shift deletion (needed by SHARDS eviction when
+// the sampling rate is lowered adaptively), so probe chains never grow
+// stale markers and lookups stay one linear scan.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +61,37 @@ public:
             ++size_;
         }
         return &values_[i];
+    }
+
+    /// Removes `key` if present; returns whether an entry was removed.
+    /// Backward-shift deletion: instead of leaving a tombstone, every
+    /// entry in the probe cluster after the vacated slot is moved back
+    /// when (and only when) the hole lies inside its own probe range, so
+    /// the invariant "a lookup walks from probe_start to the first empty
+    /// slot" is restored exactly and the table never degrades.
+    bool erase(std::uint64_t key) noexcept {
+        std::size_t hole = probe_start(key);
+        for (;;) {
+            if (keys_[hole] == kEmptyKey) return false;
+            if (keys_[hole] == key) break;
+            hole = (hole + 1) & mask_;
+        }
+        std::size_t i = (hole + 1) & mask_;
+        while (keys_[i] != kEmptyKey) {
+            // Cyclic distances from the entry's ideal slot: the entry at i
+            // may fill the hole iff the hole sits between its probe start
+            // and its current position.
+            const std::size_t ideal = probe_start(keys_[i]);
+            if (((i - ideal) & mask_) >= ((i - hole) & mask_)) {
+                keys_[hole] = keys_[i];
+                values_[hole] = values_[i];
+                hole = i;
+            }
+            i = (i + 1) & mask_;
+        }
+        keys_[hole] = kEmptyKey;
+        --size_;
+        return true;
     }
 
     /// Hints the hardware to fetch `key`'s probe-start slot. Issued a few

@@ -18,6 +18,14 @@ std::uint64_t NaiveStackEngine::access(std::uint64_t line) {
     return distance;
 }
 
+bool NaiveStackEngine::evict(std::uint64_t line) {
+    const auto it = position_.find(line);
+    if (it == position_.end()) return false;
+    stack_.erase(it->second);
+    position_.erase(it);
+    return true;
+}
+
 void NaiveStackEngine::clear() {
     stack_.clear();
     position_.clear();

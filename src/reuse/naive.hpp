@@ -15,6 +15,8 @@ namespace spmvcache {
 class NaiveStackEngine {
 public:
     std::uint64_t access(std::uint64_t line);
+    /// Removes `line` from the stack; returns whether it was there.
+    bool evict(std::uint64_t line);
     void clear();
     [[nodiscard]] std::uint64_t distinct_lines() const {
         return stack_.size();

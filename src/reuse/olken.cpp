@@ -93,6 +93,15 @@ void OlkenEngine::access_batch(const std::uint64_t* lines,
     }
 }
 
+bool OlkenEngine::evict(std::uint64_t line) {
+    const std::uint64_t* prev = last_access_.find(line);
+    if (!prev) return false;
+    unmark(*prev);
+    last_access_.erase(line);
+    --alive_;
+    return true;
+}
+
 void OlkenEngine::wrap_distances(const std::uint64_t* lines,
                                  std::uint64_t* dists, std::size_t n) const {
     SPMV_EXPECTS(n == distinct_lines());

@@ -59,6 +59,18 @@ public:
     void access_batch(const std::uint64_t* lines, std::uint64_t* dists,
                       std::size_t n);
 
+    /// Removes `line`'s history (SHARDS eviction when the sampling rate
+    /// is lowered); returns whether the line was tracked. Subsequent
+    /// distances behave as if the line had never been accessed.
+    bool evict(std::uint64_t line);
+
+    /// Calls fn(line) for every tracked line (arbitrary order).
+    template <class Fn>
+    void for_each_line(Fn&& fn) const {
+        last_access_.for_each(
+            [&](std::uint64_t line, std::uint64_t) { fn(line); });
+    }
+
     /// Counted-pass distances of the first touches, from the end of one
     /// pass over a stream. `lines` holds the stream's distinct lines in
     /// first-touch order (the accesses that returned kInfiniteDistance);
@@ -70,7 +82,8 @@ public:
     /// lines. Every other access of the replay repeats its first-pass
     /// distance, so the finite first-pass distances plus these give the
     /// replay's histogram without running it. One sweep with a Fenwick
-    /// tree over the ranks: O(D log D). Pre: n == distinct_lines().
+    /// tree over the ranks: O(D log D). Pre: n == distinct_lines() and
+    /// every line is tracked (an evicted line is not).
     void wrap_distances(const std::uint64_t* lines, std::uint64_t* dists,
                         std::size_t n) const;
 

@@ -14,6 +14,12 @@
 // replay of the sampled stream repeats the kept subsequence: the wrapped
 // engine's wrap_distances() applies to it unchanged and is forwarded with
 // the same scaling.
+//
+// lower_rate() implements SHARDS rate adaptation: the filter tightens
+// and, when the wrapped engine supports eviction (Olken does), every
+// tracked line the tighter filter rejects is evicted — as if the engine
+// had run at the lower rate from the start. The model runs at a fixed
+// rate and never lowers it.
 #pragma once
 
 #include <cmath>
@@ -22,6 +28,7 @@
 
 #include "reuse/engine.hpp"
 #include "trace/sample.hpp"
+#include "util/error.hpp"
 
 namespace spmvcache {
 
@@ -29,6 +36,14 @@ namespace spmvcache {
 /// must not record it. Distinct from kInfiniteDistance (a sampled cold
 /// miss), which *is* recorded.
 inline constexpr std::uint64_t kSkippedDistance = ~std::uint64_t{0} - 1;
+
+/// Engines that support SHARDS eviction: removing one line's history so
+/// a lowered rate R' < R can discard lines with hash >= R'·2⁶⁴.
+template <class E>
+concept EvictableEngine = requires(E e, const E ce, std::uint64_t line) {
+    { e.evict(line) } -> std::convertible_to<bool>;
+    ce.for_each_line([](std::uint64_t) {});
+};
 
 /// Adapter running any concrete engine on the sampled subtrace.
 template <class E>
@@ -86,6 +101,21 @@ public:
                              kept);
         for (std::size_t k = 0; k < kept; ++k)
             dists[scratch_index_[k]] = filter_.scale_distance(scratch_dists_[k]);
+    }
+
+    /// SHARDS rate lowering: tightens the filter to `new_rate` and, when
+    /// the wrapped engine supports eviction, removes every tracked line
+    /// that the tighter filter rejects. Pre: 0 < new_rate <= current rate.
+    void lower_rate(double new_rate) {
+        SPMV_EXPECTS(new_rate > 0.0 && new_rate <= filter_.rate());
+        filter_ = SampleFilter(new_rate);
+        if constexpr (EvictableEngine<E>) {
+            std::vector<std::uint64_t> evicted;
+            engine_.for_each_line([&](std::uint64_t line) {
+                if (!filter_.keep(line)) evicted.push_back(line);
+            });
+            for (const std::uint64_t line : evicted) engine_.evict(line);
+        }
     }
 
     /// The wrapped engine's wrap_distances() over the kept first touches

@@ -1,6 +1,6 @@
-// FlatMap64: find_or_insert semantics, growth under colliding keys, and a
-// differential check against std::unordered_map on random insert/find
-// streams.
+// FlatMap64: find_or_insert semantics, growth under colliding keys,
+// backward-shift erase, and differential checks against std::unordered_map
+// on random insert/erase/find streams.
 #include "reuse/flat_map.hpp"
 
 #include <gtest/gtest.h>
@@ -77,6 +77,129 @@ TEST(FlatMap64, ClearEmptiesButKeysRemainInsertable) {
     *map.find_or_insert(50, inserted) = 5;
     EXPECT_TRUE(inserted);
     EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(FlatMap64, EraseRemovesAndReportsPresence) {
+    FlatMap64 map;
+    map.put(7, 70);
+    map.put(0, 1);  // zero key is valid and erasable
+    EXPECT_TRUE(map.erase(7));
+    EXPECT_EQ(map.find(7), nullptr);
+    EXPECT_EQ(map.size(), 1u);
+    EXPECT_FALSE(map.erase(7));  // already gone
+    EXPECT_FALSE(map.erase(99));  // never present
+    EXPECT_TRUE(map.erase(0));
+    EXPECT_EQ(map.size(), 0u);
+
+    // Erased keys are re-insertable and zero-initialised again.
+    bool inserted = false;
+    std::uint64_t* slot = map.find_or_insert(7, inserted);
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(*slot, 0u);
+}
+
+TEST(FlatMap64, EraseBackwardShiftKeepsProbeChainsIntact) {
+    // Colliding keys form one long linear-probe run; erasing from the
+    // middle must backward-shift the displaced tail, not break lookups
+    // with a hole (there are no tombstones to hide behind).
+    FlatMap64 map(8);
+    constexpr std::uint64_t kStride = std::uint64_t{1} << 40;
+    constexpr std::uint64_t kCount = 64;
+    for (std::uint64_t k = 0; k < kCount; ++k) map.put(k * kStride, k + 1);
+    // Erase every third key, front-to-back, checking the survivors after
+    // each removal.
+    for (std::uint64_t k = 0; k < kCount; k += 3)
+        ASSERT_TRUE(map.erase(k * kStride)) << "key " << k;
+    for (std::uint64_t k = 0; k < kCount; ++k) {
+        const std::uint64_t* v = map.find(k * kStride);
+        if (k % 3 == 0) {
+            EXPECT_EQ(v, nullptr) << "erased key " << k << " still found";
+        } else {
+            ASSERT_NE(v, nullptr) << "survivor " << k << " lost";
+            EXPECT_EQ(*v, k + 1);
+        }
+    }
+}
+
+TEST(FlatMap64, RandomInsertEraseFindMatchesUnorderedMap) {
+    // Randomized property test: a long stream of mixed put / erase /
+    // find_or_insert / find against the std::unordered_map reference, with
+    // a key range narrow enough that probe chains constantly overlap and
+    // erases hit mid-chain.
+    std::uint64_t state = 0x13198a2e03707344ULL;
+    const auto next = [&state] {
+        state += 0x9e3779b97f4a7c15ULL;
+        std::uint64_t z = state;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    };
+
+    FlatMap64 map(8);
+    std::unordered_map<std::uint64_t, std::uint64_t> reference;
+    for (int i = 0; i < 50000; ++i) {
+        const std::uint64_t key = next() % 1024;
+        switch (next() % 4) {
+            case 0: {
+                const std::uint64_t value = next();
+                map.put(key, value);
+                reference[key] = value;
+                break;
+            }
+            case 1: {
+                EXPECT_EQ(map.erase(key), reference.erase(key) > 0)
+                    << "step " << i;
+                break;
+            }
+            case 2: {
+                bool inserted = false;
+                std::uint64_t* slot = map.find_or_insert(key, inserted);
+                const auto [it, ref_inserted] =
+                    reference.try_emplace(key, 0);
+                ASSERT_EQ(inserted, ref_inserted) << "step " << i;
+                ASSERT_EQ(*slot, it->second) << "step " << i;
+                break;
+            }
+            default: {
+                const std::uint64_t* found = map.find(key);
+                const auto it = reference.find(key);
+                if (it == reference.end()) {
+                    EXPECT_EQ(found, nullptr) << "step " << i;
+                } else {
+                    ASSERT_NE(found, nullptr) << "step " << i;
+                    EXPECT_EQ(*found, it->second) << "step " << i;
+                }
+                break;
+            }
+        }
+        ASSERT_EQ(map.size(), reference.size()) << "step " << i;
+    }
+    // Full sweep at the end: every surviving entry agrees.
+    std::size_t seen = 0;
+    map.for_each([&](std::uint64_t k, std::uint64_t v) {
+        ++seen;
+        const auto it = reference.find(k);
+        ASSERT_NE(it, reference.end());
+        EXPECT_EQ(v, it->second);
+    });
+    EXPECT_EQ(seen, reference.size());
+}
+
+TEST(FlatMap64, EraseEverythingLeavesCleanTable) {
+    FlatMap64 map(8);
+    for (std::uint64_t k = 0; k < 2000; ++k) map.put(k * 7, k);
+    for (std::uint64_t k = 0; k < 2000; ++k)
+        ASSERT_TRUE(map.erase(k * 7)) << "key " << k * 7;
+    EXPECT_EQ(map.size(), 0u);
+    std::size_t seen = 0;
+    map.for_each([&](std::uint64_t, std::uint64_t) { ++seen; });
+    EXPECT_EQ(seen, 0u);
+    // The emptied table still inserts correctly.
+    for (std::uint64_t k = 0; k < 100; ++k) map.put(k, k + 1);
+    for (std::uint64_t k = 0; k < 100; ++k) {
+        ASSERT_NE(map.find(k), nullptr);
+        EXPECT_EQ(*map.find(k), k + 1);
+    }
 }
 
 TEST(FlatMap64, DifferentialAgainstUnorderedMap) {

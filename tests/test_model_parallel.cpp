@@ -4,21 +4,28 @@
 // counts to the serial path, exact and SHARDS-sampled; method (B)'s
 // sharded trace pass is held to the same standard. Miss counts are
 // integers stored in doubles (sampled totals are those integers times
-// 1/R), so EXPECT_EQ really is bit-identity.
+// 1/R), so EXPECT_EQ really is bit-identity. Every shard streams its
+// trace; replaying a shard from its packed trace (trace/packed_trace.hpp)
+// must give the same distances.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/method_a.hpp"
 #include "model/method_b.hpp"
+#include "model/replay.hpp"
+#include "reuse/olken.hpp"
 #include "sparse/gen/banded.hpp"
 #include "sparse/gen/block.hpp"
 #include "sparse/gen/rmat.hpp"
 #include "sparse/gen/stencil.hpp"
+#include "trace/packed_trace.hpp"
 #include "trace/spmv_trace.hpp"
+#include "util/fault.hpp"
 
 namespace spmvcache {
 namespace {
@@ -136,6 +143,91 @@ TEST_P(ModelParallelTest, SampledMatchesSerialForAllJobCounts) {
     }
 }
 
+void expect_replay_mode(const ModelResult& result, bool packed,
+                        const std::string& label) {
+    ASSERT_FALSE(result.shards.empty()) << label;
+    for (const ShardStats& shard : result.shards)
+        EXPECT_EQ(shard.packed_replay, packed)
+            << label << " shard " << shard.segment;
+}
+
+/// (distance, is_x) per counted-pass reference of one segment's replay
+/// through an OlkenEngine: the finite first-pass distances in trace order,
+/// then the wrap-around distances of the first touches.
+using ReplayDistances = std::vector<std::pair<std::uint64_t, bool>>;
+
+ReplayDistances streamed_replay(const CsrMatrix& m, const SpmvLayout& layout,
+                                const TraceConfig& cfg,
+                                std::int64_t cores_per_numa,
+                                std::int64_t segment,
+                                const SampleFilter& filter) {
+    ReplayDistances out;
+    const auto sink = [&out](std::uint64_t d, bool is_x) {
+        out.emplace_back(d, is_x);
+    };
+    detail::EngineFeed<OlkenEngine> feed{OlkenEngine{}};
+    detail::replay_segment_pass(
+        BasicCsrView<Idx32>(m), layout, cfg, cores_per_numa, segment,
+        filter,
+        [&](std::uint64_t line, DataObject object, std::uint32_t) {
+            feed.add(line, object == DataObject::X);
+        },
+        [&] { feed.flush(sink); });
+    feed.finish(sink);
+    return out;
+}
+
+ReplayDistances packed_replay(const std::vector<std::uint64_t>& words) {
+    ReplayDistances out;
+    const auto sink = [&out](std::uint64_t d, bool is_x) {
+        out.emplace_back(d, is_x);
+    };
+    detail::EngineFeed<OlkenEngine> feed{OlkenEngine{}};
+    for (const std::uint64_t word : words) {
+        if (packed_is_prefetch(word)) continue;
+        feed.add(packed_line(word), packed_object(word) == DataObject::X);
+        if (feed.pending() == detail::kReplayBatch) feed.flush(sink);
+    }
+    if (feed.pending() > 0) feed.flush(sink);
+    feed.finish(sink);
+    return out;
+}
+
+TEST_P(ModelParallelTest, PackedReplayMatchesForcedStreaming) {
+    // The model streams every shard's trace; the packed encoding of the
+    // same segment, replayed through the same one-pass engine feed, must
+    // give the same counted-pass distances in the same order, exact and
+    // SHARDS-sampled. The model's shard stats must report streaming.
+    for (const auto& [name, m] : generator_suite()) {
+        for (const double rate : {1.0, 0.05}) {
+            ModelOptions o = base_options(GetParam(), /*jobs=*/4);
+            o.sample_rate = rate;
+            const std::string label =
+                name + " rate=" + std::to_string(rate);
+            const SampleFilter filter(rate);
+            const SpmvLayout layout(m, o.machine.l2.line_bytes);
+            const TraceConfig cfg{o.threads, o.partition, o.quantum};
+            const std::int64_t segments =
+                trace_segment_count(o.threads, o.machine.cores_per_numa);
+            for (std::int64_t s = 0; s < segments; ++s) {
+                const auto words = try_pack_spmv_trace_segment(
+                    m, layout, cfg, o.machine.cores_per_numa, s, filter);
+                ASSERT_TRUE(words.ok()) << label << " segment " << s;
+                const ReplayDistances streamed = streamed_replay(
+                    m, layout, cfg, o.machine.cores_per_numa, s, filter);
+                if (rate == 1.0)
+                    EXPECT_FALSE(streamed.empty()) << label << " segment " << s;
+                EXPECT_EQ(packed_replay(words.value()), streamed)
+                    << label << " segment " << s;
+            }
+            const auto a = run_method_a(m, o);
+            expect_replay_mode(a, false, label + " A");
+            EXPECT_EQ(a.sampled, rate < 1.0) << label;
+            expect_replay_mode(run_method_b(m, o), false, label + " B");
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, ModelParallelTest,
     testing::Values(PartitionPolicy::BalancedRows,
@@ -145,6 +237,33 @@ INSTANTIATE_TEST_SUITE_P(
                    ? "BalancedRows"
                    : "BalancedNonzeros";
     });
+
+TEST(ModelParallel, PackingFaultEngagesStreamingFallback) {
+    // An armed trace.pack fault makes packing fail, but the model streams
+    // every shard's trace, so it neither fails nor changes a prediction.
+    const auto& m = generator_suite().front().matrix;
+    const auto options = base_options(PartitionPolicy::BalancedRows, 4);
+    const auto reference = run_method_a(m, options);
+    const auto reference_b = run_method_b(m, options);
+
+    // once=false: every packing attempt fails, not just the first.
+    fault::ScopedFault f("trace.pack", {.once = false});
+    const SpmvLayout layout(m, options.machine.l2.line_bytes);
+    const TraceConfig cfg{options.threads, options.partition,
+                          options.quantum};
+    const auto packed = try_pack_spmv_trace_segment(
+        m, layout, cfg, options.machine.cores_per_numa, 0);
+    ASSERT_FALSE(packed.ok());
+    EXPECT_EQ(packed.error().code, ErrorCode::FaultInjected);
+
+    const auto faulted = run_method_a(m, options);
+    expect_replay_mode(faulted, false, "under fault");
+    expect_identical(reference, faulted, "trace.pack armed");
+
+    const auto faulted_b = run_method_b(m, options);
+    expect_replay_mode(faulted_b, false, "under fault methodB");
+    expect_identical(reference_b, faulted_b, "trace.pack armed methodB");
+}
 
 TEST(ModelParallel, ShardInstrumentationIsConsistent) {
     const auto& m = generator_suite().front().matrix;

@@ -134,6 +134,67 @@ TEST(Olken, BatchMatchesSerialAcrossCompaction) {
     expect_batch_matches_serial<OlkenEngine>(std::size_t{16});
 }
 
+TEST(Olken, EvictedLineBehavesAsNeverAccessed) {
+    // Differential: engine A accesses a probe line and immediately evicts
+    // it; engine B never sees the probe. With no accesses between the
+    // probe's insert and evict, the two engines' trees are isomorphic, so
+    // every later distance must match — eviction fully unwinds the insert.
+    OlkenEngine with_evict;
+    OlkenEngine without;
+    Xoshiro256 rng(77);
+    for (int round = 0; round < 20000; ++round) {
+        if (rng.uniform() < 0.25) {
+            const std::uint64_t probe = 1u << 20;  // outside the common set
+            (void)with_evict.access(probe);
+            ASSERT_TRUE(with_evict.evict(probe));
+        }
+        const std::uint64_t line = rng.uniform() < 0.6
+                                       ? rng.bounded(96)
+                                       : rng.bounded(20000) + 96;
+        ASSERT_EQ(with_evict.access(line), without.access(line))
+            << "round " << round;
+    }
+    EXPECT_EQ(with_evict.distinct_lines(), without.distinct_lines());
+}
+
+TEST(Olken, EvictBasics) {
+    OlkenEngine e;
+    EXPECT_FALSE(e.evict(5));  // unknown line
+    e.access(5);
+    e.access(6);
+    EXPECT_EQ(e.distinct_lines(), 2u);
+    EXPECT_TRUE(e.evict(5));
+    EXPECT_EQ(e.distinct_lines(), 1u);
+    EXPECT_FALSE(e.evict(5));                      // already gone
+    EXPECT_EQ(e.access(5), kInfiniteDistance);     // cold again
+    EXPECT_EQ(e.access(6), 1u);                    // 5 re-inserted above it
+}
+
+template <class Engine, class... Args>
+void expect_for_each_line_tracks_membership(Args&&... args) {
+    Engine e(args...);
+    for (std::uint64_t line = 0; line < 100; ++line) e.access(line);
+    ASSERT_TRUE(e.evict(10));
+    ASSERT_TRUE(e.evict(90));
+    std::vector<bool> seen(100, false);
+    std::size_t count = 0;
+    e.for_each_line([&](std::uint64_t line) {
+        ASSERT_LT(line, 100u);
+        EXPECT_FALSE(seen[line]) << "line " << line << " visited twice";
+        seen[line] = true;
+        ++count;
+    });
+    EXPECT_EQ(count, 98u);
+    EXPECT_FALSE(seen[10]);
+    EXPECT_FALSE(seen[90]);
+    EXPECT_TRUE(seen[0]);
+    EXPECT_TRUE(seen[99]);
+}
+
+TEST(Olken, ForEachLineTracksMembership) {
+    expect_for_each_line_tracks_membership<OlkenEngine>();
+}
+
 TEST(Olken, ClearForgetsHistory) {
     OlkenEngine e;
     e.access(1);
@@ -159,14 +220,36 @@ TEST(Olken, ReuseAcrossWordBoundariesMatchesNaive) {
          {199u, 195u, 192u, 191u, 128u, 127u, 64u, 63u, 0u, 127u, 64u, 63u}) {
         ASSERT_EQ(olken.access(line), naive.access(line)) << "line " << line;
     }
-    // Touch a new line, then sweep each edge's neighbourhood: the lines
-    // reused above now have their latest timestamps in the current word,
-    // which the tree does not cover, among reuses from complete words.
-    ASSERT_EQ(olken.access(1000), naive.access(1000));
+    // Evict the line just below each edge (its latest timestamp is now in
+    // the current word, which the tree does not cover), then sweep the
+    // edge's neighbourhood: a cold re-insert among reuses from complete
+    // words.
     for (const std::uint64_t edge : {64u, 128u, 192u}) {
+        ASSERT_EQ(olken.evict(edge - 1), naive.evict(edge - 1));
         for (std::uint64_t line = edge - 3; line < edge + 3; ++line)
             ASSERT_EQ(olken.access(line), naive.access(line))
                 << "edge " << edge << " line " << line;
+    }
+    EXPECT_EQ(olken.distinct_lines(), naive.distinct_lines());
+}
+
+TEST(Olken, EvictionsThenCompactionMatchNaive) {
+    // Evict several lines at a time between accesses of a stream that runs
+    // through several compactions (2^16 initial slots): renumbering must
+    // skip every unmarked timestamp.
+    NaiveStackEngine naive;
+    OlkenEngine olken(16);
+    Xoshiro256 rng(5);
+    for (int i = 0; i < 200000; ++i) {
+        if (i % 5000 == 4999) {
+            for (int k = 0; k < 8; ++k) {
+                const std::uint64_t victim = rng.bounded(400);
+                ASSERT_EQ(olken.evict(victim), naive.evict(victim))
+                    << "step " << i;
+            }
+        }
+        const std::uint64_t line = rng.bounded(400);
+        ASSERT_EQ(olken.access(line), naive.access(line)) << "step " << i;
     }
     EXPECT_EQ(olken.distinct_lines(), naive.distinct_lines());
 }
